@@ -456,10 +456,11 @@ class ClusterDurability(DurabilityManager):
                 self.acked_commits += 1
                 self.max_acked_seqno = record.seqno
                 self._acked_txns.add(record.txn_id)
+        view = self.durable_view
         for record in merged:
             if void and record.txn_id in void:
                 continue  # voided writes never reach the durable view
-            apply_record(self.durable_view, record)
+            view.apply(record)
         self.log_records_total += len(merged)
         self.log_bytes_total += nbytes
         if scheduler.trace.enabled:
@@ -766,13 +767,11 @@ class ClusterDurability(DurabilityManager):
                 value = None if image.value is None else detach_row(image.value)
                 vid = image.vid
             else:
-                durable_table = self.durable_view._tables.get(table_name)
-                durable = (None if durable_table is None
-                           else durable_table._records.get(key))
+                durable = self.durable_view.get(table_name, key)
                 if durable is not None:
-                    value = (None if durable.value is None
-                             else detach_row(durable.value))
-                    vid = durable.version_id
+                    vid, value = durable
+                    if value is not None:
+                        value = detach_row(value)
                 else:
                     value, vid = None, (INITIAL_TXN_ID, -1)
             table.restore_row(key, value, vid)
@@ -924,8 +923,8 @@ class ClusterDurability(DurabilityManager):
         recovered_snapshot = new_db.snapshot()
         # -- durability oracle -------------------------------------------- #
         violations = verify_recovery(
-            self.durable_view, new_db, self.max_acked_seqno, durable_seqno,
-            self._durable_vids)
+            self.durable_view, recovered_snapshot, self.max_acked_seqno,
+            durable_seqno, self._durable_vids)
         self.violations.extend(
             f"durability(crash #{self.crash_count} @ {now}): {v}"
             for v in violations)

@@ -10,10 +10,12 @@ from .log import LogRecord, WriteImage, apply_record
 from .manager import (Checkpoint, DurabilityManager, RecoveryReport,
                       RESTART_RNG_SALT)
 from .oracle import filter_history, verify_recovery
+from .view import DurableView
 
 __all__ = [
     "Checkpoint",
     "DurabilityManager",
+    "DurableView",
     "LogRecord",
     "RESTART_RNG_SALT",
     "RecoveryReport",

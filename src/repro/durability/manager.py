@@ -19,7 +19,10 @@ logging/checkpoint/recovery pipeline, driven entirely by scheduler events:
 * **checkpoints** — :class:`Database` snapshots tagged with the last
   assigned seqno, taken at t=0, every ``checkpoint_interval`` ticks, and
   after each recovery.  Charged no simulated time (SiloR checkpoints on
-  spare threads).
+  spare threads).  The t=0 image is captured once, in :meth:`install`,
+  and shared: it is checkpoint 0 *and* the immutable base of the
+  :class:`~repro.durability.view.DurableView` the recovery oracle
+  compares against.
 * **node crash** — the scripted ``node_crash`` fault calls
   :meth:`node_crash`: every worker is torn down (in-flight attempts abort
   through their normal cleanup, pre-charged sleep time is refunded), the
@@ -52,6 +55,7 @@ from ..rng import spawn_rng
 from ..storage.database import Database, Snapshot
 from .log import LogRecord, WriteImage, apply_record
 from .oracle import verify_recovery
+from .view import DurableView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import random
@@ -155,8 +159,9 @@ class DurabilityManager:
         #: the durable log: flushed records in seqno order
         self.durable_log: List[LogRecord] = []
         #: committed state implied by the durable log (recovery oracle's
-        #: expected state; updated incrementally as flushes complete)
-        self.durable_view = Database.from_snapshot(db.snapshot())
+        #: expected state; folded forward as flushes complete).  Built by
+        #: :meth:`install` over the t=0 image it shares with checkpoint 0
+        self.durable_view: Optional[DurableView] = None
         #: version ids made durable so far (oracle: nothing else may
         #: surface in a recovered database)
         self._durable_vids: Set[tuple] = set()
@@ -192,12 +197,14 @@ class DurabilityManager:
     def install(self, scheduler: "Scheduler",
                 worker_factory: Callable[[int, "random.Random"],
                                          "Worker"]) -> None:
-        """Attach to the scheduler: take the initial checkpoint and start
-        the epoch (and optional checkpoint) clocks.  ``worker_factory``
+        """Attach to the scheduler: capture the t=0 image once — it is
+        both checkpoint 0 and the durable view's base — and start the
+        epoch (and optional checkpoint) clocks.  ``worker_factory``
         builds replacement workers after a node crash."""
         self.scheduler = scheduler
         self._worker_factory = worker_factory
         self._take_checkpoint()
+        self.durable_view = DurableView(self.checkpoints[0].snapshot)
         generation = self._crash_generation
         scheduler.schedule_callback(
             self.dc.epoch_length,
@@ -309,8 +316,9 @@ class DurabilityManager:
                 stat[1] += now - record.first_start
             self.acked_commits += 1
             self.max_acked_seqno = record.seqno
+        view = self.durable_view
         for record in records:
-            apply_record(self.durable_view, record)
+            view.apply(record)
         self.log_records_total += len(records)
         self.log_bytes_total += nbytes
         if scheduler.trace.enabled:
@@ -401,8 +409,8 @@ class DurabilityManager:
         recovered_snapshot = new_db.snapshot()
         # -- durability oracle ------------------------------------------ #
         violations = verify_recovery(
-            self.durable_view, new_db, self.max_acked_seqno, durable_seqno,
-            self._durable_vids)
+            self.durable_view, recovered_snapshot, self.max_acked_seqno,
+            durable_seqno, self._durable_vids)
         self.violations.extend(
             f"durability(crash #{self.crash_count} @ {now}): {v}"
             for v in violations)

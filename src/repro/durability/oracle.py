@@ -36,16 +36,20 @@ from typing import Iterable, List, Set
 
 from ..analysis.serializability import HistoryRecorder
 from ..errors import ReproError
-from ..storage.database import Database, diff_snapshots
+from ..storage.database import Snapshot, diff_snapshots
 from ..storage.record import INITIAL_TXN_ID
 
 
-def verify_recovery(durable_view: Database, recovered: Database,
+def verify_recovery(durable_view, recovered_snapshot: Snapshot,
                     max_acked_seqno: int, durable_seqno: int,
                     durable_vids: Set[tuple]) -> List[str]:
-    """Check one recovery against the oracle; returns violations ([] = OK)."""
+    """Check one recovery against the oracle; returns violations ([] = OK).
+
+    ``durable_view`` is the expected side — anything with a ``snapshot()``
+    (the manager's :class:`~repro.durability.view.DurableView`);
+    ``recovered_snapshot`` is the snapshot recovery already took of the
+    database it rebuilt."""
     problems: List[str] = []
-    recovered_snapshot = recovered.snapshot()
     for mismatch in diff_snapshots(durable_view.snapshot(),
                                    recovered_snapshot):
         problems.append(f"recovered state != durable prefix: {mismatch!r}")

@@ -128,3 +128,20 @@ def run_counter_experiment(cc, config, n_keys: int = 8, n_accesses: int = 3,
     result = run_protocol(factory, cc, config, recorder=recorder,
                           check_invariants=False)
     return holder["workload"], result
+
+
+def view_snapshots_at_node_crash(monkeypatch, manager_cls) -> list:
+    """Patch ``manager_cls.node_crash`` to also record the durable view's
+    merged snapshot right after each recovery (the view keeps folding
+    once the run resumes, so the end-of-run view is no witness of what
+    the oracle compared).  Returns the list the snapshots land in."""
+    snapshots = []
+    node_crash = manager_cls.node_crash
+
+    def crash_then_look(self):
+        report = node_crash(self)
+        snapshots.append(self.durable_view.snapshot())
+        return report
+
+    monkeypatch.setattr(manager_cls, "node_crash", crash_then_look)
+    return snapshots

@@ -87,7 +87,7 @@ def test_durability_oracle_sees_pristine_durable_view_despite_mutation():
     recovered = Database.from_snapshot(checkpoint)
     # post-checkpoint in-place corruption of the live row
     db.table("T").get_record((1,)).value["meta"]["depth"].clear()
-    problems = verify_recovery(durable_view, recovered,
+    problems = verify_recovery(durable_view, recovered.snapshot(),
                                max_acked_seqno=0, durable_seqno=0,
                                durable_vids=set())
     assert problems == []
