@@ -258,6 +258,9 @@ def _record_run_metrics(metrics: MetricsRegistry, cc_name: str,
                             cc=cc_name).inc(manager.lost_inflight_total)
             metrics.counter("durability_lost_unflushed_total",
                             cc=cc_name).inc(manager.lost_unflushed_total)
+        # the 2PC layer's gauges: no rows without a cluster (only-when-fed)
+        for name, value in manager.metrics_rows():
+            metrics.gauge(name, cc=cc_name).set(value)
     if frontend is not None:
         metrics.gauge("frontend_goodput_tps",
                       cc=cc_name).set(stats.goodput())
@@ -278,9 +281,6 @@ def _record_run_metrics(metrics: MetricsRegistry, cc_name: str,
     if runtime is not None:
         for name, value in runtime.metrics_rows():
             metrics.gauge(name, cc=cc_name).set(value)
-        if isinstance(manager, ClusterDurability):
-            for name, value in manager.metrics_rows():
-                metrics.gauge(name, cc=cc_name).set(value)
     for type_name, digest in stats.latency.items():
         if digest.count:
             metrics.gauge("run_latency_p99_us", cc=cc_name,

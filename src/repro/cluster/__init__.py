@@ -4,9 +4,10 @@ The cluster layer partitions the database across N simulated shards,
 pins workers to home shards, charges remote record accesses as network
 round trips, and commits cross-shard transactions with two-phase commit
 over per-shard epoch WALs (presumed abort; see
-:mod:`repro.cluster.durability`).  ``config.cluster is None`` disables
-the whole layer — single-node runs execute literally the same code as
-before the cluster existed.
+:mod:`repro.cluster.durability` — the 2PC layer on top of the durability
+core, which runs the per-shard logs themselves).  ``config.cluster is
+None`` disables the whole layer: no runtime, no 2PC layer, and the
+durability core with its single-node shard count of one.
 """
 
 from .cc import ClusterCC

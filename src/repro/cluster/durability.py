@@ -1,16 +1,19 @@
-"""Per-shard WALs, 2PC prepare/decision records, cluster-wide recovery.
+"""The 2PC layer over the durability core: prepare/decision records,
+in-doubt resolution, single-shard crash and rejoin.
 
-Extends the single-node epoch group commit
-(:class:`~repro.durability.manager.DurabilityManager`) to N shards:
+The per-shard logs and flush devices, the one epoch clock, the watermark
+(an epoch is *committed* only once flushed on **every** live shard; acks
+happen at watermark advance, in seqno order, cluster-wide), checkpoints
+and the whole-node crash all live in
+:class:`~repro.durability.manager.DurabilityManager`, which runs them for
+N shards — a single node is N = 1.  :class:`ClusterDurability` subclasses
+it for what has no one-shard meaning, overrides ``log_commit`` (routing
+images to their owning shards is cluster-only work; both versions append
+and charge through the core's ``_append_records``) and is otherwise
+reached through the core's hooks — ``_epoch_acked``,
+``_before_truncation``, ``_replayable``, ``_on_recovered``,
+``metrics_rows``:
 
-* **per-shard logs and flush devices** — each shard buffers its own
-  epoch records and flushes them on its own serial log device, so log
-  bandwidth scales with shard count.  One *global* epoch clock closes
-  all shards' epochs together (Silo/COCO-style synchronized epochs).
-* **the cluster watermark** — an epoch is *committed* only once its
-  flush completed on **every** shard; ``persistent_epoch`` is
-  ``min(per-shard persistent epochs)``.  Acks happen at watermark
-  advance, in seqno order, cluster-wide.
 * **2PC records** — a cross-shard commit writes one
   :class:`PrepareRecord` per participant shard (the participant's write
   images, naming the coordinator) and one :class:`DecisionRecord` on the
@@ -19,10 +22,11 @@ Extends the single-node epoch group commit
   then travel the simulated network; on arrival each participant appends
   a :class:`DecisionMarker` to its log (deduplicating duplicates), which
   is what lets a *later* recovery resolve the prepare locally.
-* **node crash = whole-cluster crash** — every shard truncates to the
-  watermark (epochs flushed on only *some* shards are discarded, which
-  is exactly what makes cross-shard commits atomic under failure), then
-  recovery replays the per-shard logs merged in seqno order.  A durable
+* **node crash = whole-cluster crash** — the core truncates every shard
+  to the watermark (epochs flushed on only *some* shards are discarded,
+  which is exactly what makes cross-shard commits atomic under failure),
+  then replays the merged durable log in seqno order; this layer says
+  what to keep out of the replay.  A durable
   ``PrepareRecord`` with no ``DecisionMarker`` on its shard is
   **in doubt**: recovery consults the coordinator shard's durable log —
   a durable ``DecisionRecord`` means commit (apply the images), absence
@@ -33,7 +37,8 @@ Extends the single-node epoch group commit
   exercised directly by unit tests on hand-built logs.
 * **partial failure** (:meth:`ClusterDurability.shard_crash`) — exactly
   one shard halts while the rest keep running: its pinned workers die,
-  its WAL truncates to *its own* persistent epoch, and the cluster
+  its WAL truncates to *its own* persistent epoch (the same per-shard
+  step the node crash applies to every shard), and the cluster
   watermark becomes the min over **live** shards for the duration of
   the outage.  Transactions staged only in the crashed shard's
   truncated suffix are *voided* — dependency-closed via the records'
@@ -62,15 +67,13 @@ ever depend on data a single-shard crash loses.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING
+from itertools import chain
+from typing import Dict, Iterable, List, Set, Tuple, TYPE_CHECKING
 
-from ..durability.log import LogRecord, WriteImage, apply_record
-from ..durability.manager import (Checkpoint, DurabilityManager,
-                                  RecoveryReport, RESTART_RNG_SALT)
-from ..durability.oracle import verify_recovery
+from ..durability.log import LogRecord, WriteImage, lost_txns
+from ..durability.manager import DurabilityManager
 from ..errors import AbortReason, ReproError, TransactionAborted
 from ..obs.tracing import EventKind, TraceEvent
-from ..rng import spawn_rng
 from ..storage.database import Database, detach_row
 from ..storage.record import INITIAL_TXN_ID
 
@@ -94,6 +97,7 @@ class PrepareRecord(LogRecord):
     owns, durable *before* the decision is known locally."""
 
     __slots__ = ("coordinator",)
+    acks = False
 
     def __init__(self, *args, coordinator: int = -1, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -118,6 +122,8 @@ class DecisionMarker(LogRecord):
     images and is never acked."""
 
     __slots__ = ("origin",)
+    acks = False
+    carries_txn = False
 
     def __init__(self, *args, origin: int = -1, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -166,34 +172,41 @@ class ShardCrashReport:
                 f"blocked={self.blocked_in_doubt})")
 
 
+def void_closure(seeds: Iterable[int], staged: Iterable[LogRecord],
+                 void: Set[int]) -> Set[int]:
+    """Close ``seeds`` — the txn ids lost with a truncated shard — under
+    reads-from over the ``staged`` (not yet committed) records: a staged
+    survivor that read a voided version must be voided too, or the acked
+    prefix would stop being dependency-closed.  Records of already
+    ``void`` transactions and decision markers (which carry no
+    transaction) neither join the set nor extend it."""
+    lost = set(seeds)
+    candidates = [r for r in staged
+                  if r.reads and r.carries_txn and r.txn_id not in void]
+    changed = bool(lost)
+    while changed:
+        changed = False
+        for record in candidates:
+            if record.txn_id not in lost \
+                    and not lost.isdisjoint(record.reads):
+                lost.add(record.txn_id)
+                changed = True
+    return lost
+
+
 class ClusterDurability(DurabilityManager):
-    """Sharded WAL + 2PC records over the single-node epoch machinery."""
+    """The 2PC layer over the per-shard epoch machinery of
+    :class:`~repro.durability.manager.DurabilityManager`: it routes a
+    commit's images into prepare/decision records, delivers decisions,
+    resolves in-doubt prepares, and crashes / rejoins single shards."""
 
     def __init__(self, config: "SimConfig", db: Database, workload, cc,
                  stats: "RunStats", runtime: "ClusterRuntime") -> None:
-        super().__init__(config, db, workload, cc, stats)
+        super().__init__(config, db, workload, cc, stats, runtime.n_shards)
         self.runtime = runtime
-        self.n_shards = runtime.n_shards
-        # -- per-shard log state ----------------------------------------- #
-        #: current-epoch buffers, one per shard (append order = seqno
-        #: order: every append takes a fresh global seqno under the
-        #: install lock)
-        self._shard_buffers: List[List[LogRecord]] = [
-            [] for _ in range(self.n_shards)]
-        #: per-shard serial log device free times
-        self._shard_flush_free: List[float] = [0.0] * self.n_shards
-        #: per-shard in-flight flushes: epoch -> records
-        self._shard_inflight: List[Dict[int, List[LogRecord]]] = [
-            {} for _ in range(self.n_shards)]
-        #: per-shard latest flushed epoch; the cluster watermark
-        #: (``persistent_epoch``) is the min over shards
-        self._shard_persistent: List[int] = [0] * self.n_shards
-        #: flushed records awaiting watermark coverage: epoch -> shard ->
-        #: records (durable on their own shard, not yet cluster-committed)
-        self._awaiting: Dict[int, Dict[int, List[LogRecord]]] = {}
-        #: the durable per-shard logs (watermark-covered, seqno order)
-        self.shard_logs: List[List[LogRecord]] = [
-            [] for _ in range(self.n_shards)]
+        # one list of down flags, owned by the runtime: the core skips a
+        # down shard at epoch boundaries and in the watermark
+        self._shard_down = runtime.shard_down
         # -- 2PC state ---------------------------------------------------- #
         #: per-shard txn ids whose decision arrived (message dedup + the
         #: runtime marker set; rebuilt from durable markers at recovery)
@@ -205,16 +218,6 @@ class ClusterDurability(DurabilityManager):
         #: may never resolve as abort)
         self._acked_txns: Set[int] = set()
         # -- partial-failure state ----------------------------------------- #
-        #: per-shard restart generation: bumped by shard_crash so stale
-        #: flush completions and rejoin callbacks for the dead shard die,
-        #: without touching the global ``_crash_generation`` (the cluster
-        #: epoch clock and in-flight decision messages keep running)
-        self._shard_generation: List[int] = [0] * self.n_shards
-        #: txn ids voided by shard crashes: durable sibling records of a
-        #: truncated transaction stay in the logs as residue but are
-        #: never acked, never applied to the durable view, and skipped
-        #: by whole-node replay
-        self._void_txns: Set[int] = set()
         #: durable prepares on live shards whose coordinator shard is
         #: down: (participant shard, record), blocked until the
         #: coordinator rejoins and its recovered log is consulted
@@ -237,14 +240,17 @@ class ClusterDurability(DurabilityManager):
     # logging (called once per commit, at the shared install point)
 
     def log_commit(self, ctx: "TxnContext") -> None:
+        """Route the commit's images to the shards that own them: one
+        plain record on the home WAL, or — when other shards own images —
+        a prepare per participant then the decision on the coordinator,
+        all in the current epoch.  Overrides the single-node version
+        because routing and the read set are cluster-only work; both
+        append and charge through ``_append_records``."""
         runtime = self.runtime
         worker = ctx.worker
-        worker_id = worker.worker_id if worker is not None else -1
-        home = (runtime.shard_of_worker(worker_id) if worker_id >= 0 else 0)
-        deadline = worker.deadline if worker is not None else None
-        now = self.scheduler.now
+        home = runtime.shard_of_worker(worker.worker_id) \
+            if worker is not None else 0
         images_by_shard: Dict[int, List[WriteImage]] = {}
-        n_images = 0
         for entry in sorted(ctx.wset.values(), key=lambda e: e.order):
             if entry.installed_vid is None:
                 continue
@@ -256,7 +262,6 @@ class ClusterDurability(DurabilityManager):
             images_by_shard.setdefault(shard, []).append(
                 WriteImage(entry.table, entry.key, entry.value,
                            entry.installed_vid))
-            n_images += 1
         if runtime.any_down:
             down = runtime.shard_down
             if down[home] or any(down[s] for s in images_by_shard):
@@ -272,36 +277,16 @@ class ClusterDurability(DurabilityManager):
             if entry.version_id is not None
             and entry.version_id[0] != INITIAL_TXN_ID)
         participants = sorted(s for s in images_by_shard if s != home)
+        home_images = images_by_shard.get(home, [])
         if not participants:
-            # single-shard commit: one plain record on the home WAL
-            self.seqno += 1
-            record = LogRecord(self.seqno, self.current_epoch, ctx.txn_id,
-                               worker_id, ctx.type_name, ctx.priority[0],
-                               now, images_by_shard.get(home, []),
-                               deadline=deadline, reads=reads)
-            self._shard_buffers[home].append(record)
-            self._pending_cost[worker_id] = (
-                self._pending_cost.get(worker_id, 0.0)
-                + self.dc.log_write * (1 + n_images))
+            self._append_records(ctx, [(home, LogRecord, home_images, {})],
+                                 reads)
             return
-        # cross-shard commit: prepares on the participants, then the
-        # decision on the coordinator (all in the current epoch)
-        for shard in participants:
-            self.seqno += 1
-            self._shard_buffers[shard].append(PrepareRecord(
-                self.seqno, self.current_epoch, ctx.txn_id, worker_id,
-                ctx.type_name, ctx.priority[0], now, images_by_shard[shard],
-                deadline=deadline, reads=reads, coordinator=home))
-        self.seqno += 1
-        self._shard_buffers[home].append(DecisionRecord(
-            self.seqno, self.current_epoch, ctx.txn_id, worker_id,
-            ctx.type_name, ctx.priority[0], now,
-            images_by_shard.get(home, []), deadline=deadline, reads=reads,
-            participants=participants))
-        # one header per record (prepares + decision) plus one per image
-        self._pending_cost[worker_id] = (
-            self._pending_cost.get(worker_id, 0.0)
-            + self.dc.log_write * (1 + len(participants) + n_images))
+        parts = [(shard, PrepareRecord, images_by_shard[shard],
+                  {"coordinator": home}) for shard in participants]
+        parts.append((home, DecisionRecord, home_images,
+                      {"participants": participants}))
+        self._append_records(ctx, parts, reads)
         self._send_decisions(home, participants, ctx.txn_id, ctx.type_name)
 
     # ------------------------------------------------------------------ #
@@ -348,187 +333,136 @@ class ClusterDurability(DurabilityManager):
             now, now, [], origin=origin))
 
     # ------------------------------------------------------------------ #
-    # the global epoch clock over per-shard flush devices
+    # hooks the core calls (see DurabilityManager)
 
-    def _on_epoch_boundary(self, generation: int) -> None:
-        if generation != self._crash_generation:
-            return
-        scheduler = self.scheduler
-        now = scheduler.now
-        closing = self.current_epoch
-        self.current_epoch += 1
-        scheduler.schedule_callback(
-            now + self.dc.epoch_length,
-            lambda: self._on_epoch_boundary(generation))
-        lag = closing - self.persistent_epoch
-        if lag > self.max_epoch_lag:
-            self.max_epoch_lag = lag
-        timeline = getattr(scheduler, "timeline", None)
-        shard_down = self.runtime.shard_down
-        for shard in range(self.n_shards):
-            if shard_down[shard]:
-                # a down shard neither buffers nor flushes; it rejoins
-                # behind the watermark with its clock jumped forward
-                continue
-            records = self._shard_buffers[shard]
-            self._shard_buffers[shard] = []
-            start = max(now, self._shard_flush_free[shard])
-            if records:
-                self.flushes += 1
-                if start > now:
-                    self.flush_stalls += 1
-                if timeline is not None:
-                    timeline.on_flush(now, stalled=start > now)
-                completion = start + self.dc.log_flush
-            else:
-                completion = start  # empty epoch: free ordering marker
-            self._shard_flush_free[shard] = completion
-            self._shard_inflight[shard][closing] = records
-            if completion <= now:
-                self._complete_shard_flush(shard, closing, generation,
-                                           self._shard_generation[shard])
-            else:
-                scheduler.schedule_callback(
-                    completion,
-                    lambda s=shard, g=self._shard_generation[shard]:
-                        self._complete_shard_flush(s, closing, generation, g))
-
-    def _complete_shard_flush(self, shard: int, epoch: int,
-                              generation: int,
-                              shard_generation: int = 0) -> None:
-        if generation != self._crash_generation:
-            return
-        if shard_generation != self._shard_generation[shard]:
-            return  # the flush device died with its shard
-        records = self._shard_inflight[shard].pop(epoch, [])
-        self._shard_persistent[shard] = epoch
-        self._awaiting.setdefault(epoch, {})[shard] = records
-        if self.runtime.any_down:
-            down = self.runtime.shard_down
-            watermark = min(p for s, p in enumerate(self._shard_persistent)
-                            if not down[s])
-        else:
-            watermark = min(self._shard_persistent)
-        while self.persistent_epoch < watermark:
-            next_epoch = self.persistent_epoch + 1
-            self._ack_epoch(next_epoch)
-            self.persistent_epoch = next_epoch
-
-    def _ack_epoch(self, epoch: int) -> None:
-        """The watermark reached ``epoch`` on every shard: its records
-        are cluster-committed.  Append them to the durable logs, ack the
-        client-visible commits in seqno order, fold them into the
-        durable view."""
-        by_shard = self._awaiting.pop(epoch, {})
-        merged: List[LogRecord] = []
-        for shard in sorted(by_shard):
-            self.shard_logs[shard].extend(by_shard[shard])
-            merged.extend(by_shard[shard])
-        merged.sort(key=lambda r: r.seqno)
-        scheduler = self.scheduler
-        now = scheduler.now
-        nbytes = 0
-        acks = {} if scheduler.trace.enabled else None
-        void = self._void_txns
-        for record in merged:
-            self.durable_log.append(record)
-            nbytes += record.nbytes
-            if void and record.txn_id in void:
-                # shard-crash residue: durable sibling records of a
-                # voided transaction reach the logs (a later recovery
-                # resolves against them) but are never acked, never
-                # vid-registered, never part of the decided set
-                continue
-            for image in record.writes:
-                self._durable_vids.add(image.vid)
-            if isinstance(record, DecisionRecord):
-                self._decision_txns.add(record.txn_id)
-            if not isinstance(record, (PrepareRecord, DecisionMarker)):
-                # the client ack: plain single-shard records and 2PC
-                # decision records, exactly once per transaction
-                self.stats.record_commit(record.type_name, now,
-                                         now - record.first_start,
-                                         deadline=record.deadline)
-                if acks is not None:
-                    stat = acks.setdefault(record.type_name, [0, 0.0])
-                    stat[0] += 1
-                    stat[1] += now - record.first_start
-                self.acked_commits += 1
-                self.max_acked_seqno = record.seqno
+    def _epoch_acked(self, records: List[LogRecord], by_shard) -> dict:
+        for record in records:
+            if record.acks:
+                # plain single-shard records and 2PC decision records:
+                # exactly one per transaction
                 self._acked_txns.add(record.txn_id)
-        view = self.durable_view
-        for record in merged:
-            if void and record.txn_id in void:
-                continue  # voided writes never reach the durable view
-            view.apply(record)
-        self.log_records_total += len(merged)
-        self.log_bytes_total += nbytes
-        if scheduler.trace.enabled:
-            scheduler.trace.emit(TraceEvent(
-                now, EventKind.EPOCH, -1,
-                attrs={"epoch": epoch, "records": len(merged),
-                       "bytes": nbytes, "acks": acks,
-                       "shards": sorted(by_shard)}))
-        self._prune_checkpoints()
+                if isinstance(record, DecisionRecord):
+                    self._decision_txns.add(record.txn_id)
+        return {"shards": sorted(by_shard)}
+
+    def _before_truncation(self) -> None:
+        # a whole-cluster crash supersedes any partial-failure state:
+        # every shard restarts together, and truncating to the watermark
+        # evaporates the durable-but-unacked prepares blocked in doubt
+        self._blocked = []
+        for shard, down in enumerate(self.runtime.shard_down):
+            if down:
+                self.runtime.mark_shard_up(shard)
+        self.runtime.network.clear_faults()
+
+    def _replayable(self) -> Tuple[Iterable[LogRecord], dict]:
+        resolutions = self.resolve_in_doubt()
+        aborted = {txn_id for txn_id, committed in resolutions.items()
+                   if not committed}
+        # presumed abort: an aborted prepare's images must not surface
+        return ([r for r in self.durable_log
+                 if not (isinstance(r, PrepareRecord)
+                         and r.txn_id in aborted)],
+                {"in_doubt": len(resolutions)})
+
+    def _on_recovered(self, new_db: Database, now: float,
+                      charged_until: float) -> None:
+        # re-shard before the CC re-binds: the executor caches the table
+        # dict at recovery exactly like at setup
+        self.runtime.shard_tables(new_db)
+        # a down shard's workers were already charged recovery up to their
+        # rejoin point — refund the span the whole-node charge just
+        # covered twice
+        accountant = self.scheduler.accountant
+        if accountant is not None and charged_until > now:
+            for shard, until in enumerate(self._charged_down_until):
+                overlap = min(until, charged_until) - now
+                if overlap > 0:
+                    for worker_id in self._workers_of(shard):
+                        accountant.on_wait(worker_id, "recovery", -overlap)
+        self._charged_down_until = [0.0] * self.n_shards
+
+    def _workers_of(self, shard: int) -> List[int]:
+        return [worker_id for worker_id in range(self.config.n_workers)
+                if self.runtime.shard_of_worker(worker_id) == shard]
 
     # ------------------------------------------------------------------ #
-    # whole-cluster crash and recovery
+    # in-doubt resolution
+
+    def _resolve(self, record: "PrepareRecord", shard: int,
+                 committed: bool) -> bool:
+        """Book one in-doubt prepare on ``shard`` as commit or presumed
+        abort; an *acked* transaction resolving abort is a violation."""
+        self.in_doubt_total += 1
+        if committed:
+            self.in_doubt_commits += 1
+        else:
+            self.in_doubt_aborts += 1
+            if record.txn_id in self._acked_txns:
+                self.violations.append(
+                    f"2pc: acked txn {record.txn_id} resolved as "
+                    f"presumed abort on shard {shard}")
+            self.lost_txn_ids.add(record.txn_id)
+        return committed
 
     def resolve_in_doubt(self) -> Dict[int, bool]:
         """Scan the durable shard logs for prepares without a local
         decision marker and resolve each against the coordinator's
         durable log: txn_id -> True (commit) / False (presumed abort).
         Called during recovery; public for the hand-built-log tests."""
-        durable_decided: List[Set[int]] = [set()
-                                           for _ in range(self.n_shards)]
-        for shard in range(self.n_shards):
-            for record in self.shard_logs[shard]:
-                if isinstance(record, DecisionMarker):
-                    durable_decided[shard].add(record.txn_id)
+        # the message-dedup state restarts from what is provably durable
+        self._decided = [{r.txn_id for r in log
+                          if isinstance(r, DecisionMarker)}
+                         for log in self.shard_logs]
         resolutions: Dict[int, bool] = {}
-        for shard in range(self.n_shards):
-            for record in self.shard_logs[shard]:
-                if not isinstance(record, PrepareRecord):
-                    continue
-                if record.txn_id in durable_decided[shard]:
-                    continue  # locally decided: nothing in doubt
-                self.in_doubt_total += 1
+        for shard, log in enumerate(self.shard_logs):
+            decided = self._decided[shard]
+            for record in log:
+                if not isinstance(record, PrepareRecord) \
+                        or record.txn_id in decided:
+                    continue  # not a prepare, or locally decided
                 # a transaction already lost (voided by a shard crash or
                 # presumed-aborted once) can never flip to commit, even
                 # if a residue DecisionRecord survives in some log
-                committed = (record.txn_id in self._decision_txns
-                             and record.txn_id not in self.lost_txn_ids)
-                resolutions[record.txn_id] = committed
-                if committed:
-                    self.in_doubt_commits += 1
-                    durable_decided[shard].add(record.txn_id)
-                else:
-                    self.in_doubt_aborts += 1
-                    if record.txn_id in self._acked_txns:
-                        self.violations.append(
-                            f"2pc: acked txn {record.txn_id} resolved as "
-                            f"presumed abort on shard {shard}")
-                    self.lost_txn_ids.add(record.txn_id)
-        # the message-dedup state restarts from what is provably durable
-        self._decided = durable_decided
+                resolutions[record.txn_id] = self._resolve(
+                    record, shard,
+                    record.txn_id in self._decision_txns
+                    and record.txn_id not in self.lost_txn_ids)
+                if resolutions[record.txn_id]:
+                    decided.add(record.txn_id)
+        return resolutions
+
+    def resolve_blocked(self, shard: int) -> Dict[int, bool]:
+        """Resolve the prepares blocked in doubt by ``shard``'s death
+        against its recovered durable log: txn_id -> True (commit) /
+        False (presumed abort).  In a real run the coordinator's
+        decision was truncated with the shard — that is what blocked the
+        prepare — so every resolution here is a presumed abort fired
+        against live survivors; the commit branch exists for hand-built
+        logs.  Re-resolution is idempotent and can never flip a
+        decision.  Called at shard rejoin; public for the tests."""
+        decided = {r.txn_id for r in self.shard_logs[shard]
+                   if isinstance(r, DecisionRecord)
+                   and r.txn_id not in self._void_txns}
+        still_blocked: List[Tuple[int, PrepareRecord]] = []
+        resolutions: Dict[int, bool] = {}
+        for participant, record in self._blocked:
+            if record.coordinator != shard:
+                still_blocked.append((participant, record))
+                continue
+            resolutions[record.txn_id] = self._resolve(
+                record, participant,
+                record.txn_id in decided
+                and record.txn_id not in self.lost_txn_ids)
+            if resolutions[record.txn_id]:
+                self._decided[participant].add(record.txn_id)
+            else:
+                self._void_txns.add(record.txn_id)
+        self._blocked = still_blocked
         return resolutions
 
     # ------------------------------------------------------------------ #
     # partial failure: one shard crashes, the rest keep running
-
-    def _staged_records(self) -> Iterator[LogRecord]:
-        """Every record not yet cluster-committed, in deterministic
-        order: current buffers, in-flight shard flushes, and flushed
-        epochs awaiting the watermark."""
-        for shard in range(self.n_shards):
-            yield from self._shard_buffers[shard]
-            inflight = self._shard_inflight[shard]
-            for epoch in sorted(inflight):
-                yield from inflight[epoch]
-        for epoch in sorted(self._awaiting):
-            by_shard = self._awaiting[epoch]
-            for shard in sorted(by_shard):
-                yield from by_shard[shard]
 
     def shard_crash(self, shard: int, downtime: float = 0.0) -> ShardCrashReport:
         """Crash exactly one shard at the current simulated time while
@@ -546,143 +480,68 @@ class ClusterDurability(DurabilityManager):
         runtime = self.runtime
         now = scheduler.now
         self.shard_crash_count += 1
-        self._shard_generation[shard] += 1
         shard_persistent = self._shard_persistent[shard]
-        violations: List[str] = []
-        # -- truncate the shard to its own persistent epoch ---------------- #
-        lost_records: List[LogRecord] = list(self._shard_buffers[shard])
-        self._shard_buffers[shard] = []
-        inflight = self._shard_inflight[shard]
-        for epoch in sorted(inflight):
-            lost_records.extend(inflight[epoch])
-        inflight.clear()
-        self._shard_flush_free[shard] = 0.0
-        # markers reference *older* durable transactions — losing a marker
-        # never loses the transaction it points at
-        lost: Set[int] = {r.txn_id for r in lost_records
-                          if not isinstance(r, DecisionMarker)}
-        # -- dependency closure over every staged record ------------------- #
-        # A staged survivor that read a voided version must be voided too,
-        # or the acked prefix would stop being dependency-closed.
-        changed = bool(lost)
-        while changed:
-            changed = False
-            for record in self._staged_records():
-                if record.txn_id in lost or record.txn_id in self._void_txns \
-                        or isinstance(record, DecisionMarker):
-                    continue
-                if record.reads and not lost.isdisjoint(record.reads):
-                    lost.add(record.txn_id)
-                    changed = True
+        # -- truncate the shard to its own persistent epoch: the step a
+        #    whole-node crash applies to every shard ---------------------- #
+        lost_records = self._truncate_shard(shard)
+        # -- void what it lost, and every staged reader of it -------------- #
+        lost = void_closure(lost_txns(lost_records), self._staged_records(),
+                            self._void_txns)
+
+        def survivors(records: List[LogRecord]) -> List[LogRecord]:
+            lost_records.extend(r for r in records if r.txn_id in lost)
+            return [r for r in records if r.txn_id not in lost]
+
         # -- drop lost transactions from live shards' non-durable state ---- #
         # (records already durable on a live shard stay in its log as
         # residue; voiding keeps them from ever acking or applying)
         for s in range(self.n_shards):
-            if s == shard:
-                continue
-            buffer = self._shard_buffers[s]
-            if any(r.txn_id in lost for r in buffer):
-                lost_records.extend(r for r in buffer if r.txn_id in lost)
-                self._shard_buffers[s] = [r for r in buffer
-                                          if r.txn_id not in lost]
-            for epoch in sorted(self._shard_inflight[s]):
-                records = self._shard_inflight[s][epoch]
-                if any(r.txn_id in lost for r in records):
-                    lost_records.extend(r for r in records
-                                        if r.txn_id in lost)
-                    self._shard_inflight[s][epoch] = [
-                        r for r in records if r.txn_id not in lost]
+            self._shard_buffers[s] = survivors(self._shard_buffers[s])
+            inflight = self._shard_inflight[s]
+            for epoch in sorted(inflight):
+                inflight[epoch] = survivors(inflight[epoch])
         self._void_txns.update(lost)
         self.lost_txn_ids.update(lost)
         self.lost_unflushed_total += len(lost_records)
         # -- oracle: no acked transaction may be lost ---------------------- #
         # (provable: acked => epoch <= watermark <= the shard's own
         # persistent epoch, and only epochs beyond it were truncated)
-        for txn_id in sorted(lost & self._acked_txns):
-            violations.append(
-                f"shard crash lost acked txn {txn_id}")
+        violations = [f"shard crash lost acked txn {txn_id}"
+                      for txn_id in sorted(lost & self._acked_txns)]
         # -- scrub checkpoints that captured voided installs --------------- #
         if lost_records:
             cut = min(r.seqno for r in lost_records)
             self.checkpoints = [c for c in self.checkpoints
                                 if c.last_seqno < cut]
         # -- durable prepares left in doubt by the coordinator's death ----- #
-        blocked_now = 0
-        for epoch in sorted(self._awaiting):
-            by_shard = self._awaiting[epoch]
-            for s in sorted(by_shard):
-                if s == shard:
-                    continue
-                for record in by_shard[s]:
-                    if isinstance(record, PrepareRecord) \
-                            and record.coordinator == shard \
-                            and record.txn_id in lost:
-                        self._blocked.append((s, record))
-                        blocked_now += 1
-        self.blocked_in_doubt_total += blocked_now
+        awaiting_lost = [(s, r) for epoch in sorted(self._awaiting)
+                         for s, records in sorted(self._awaiting[epoch].items())
+                         for r in records if r.txn_id in lost]
+        blocked = [(s, r) for s, r in awaiting_lost
+                   if isinstance(r, PrepareRecord) and r.coordinator == shard]
+        self._blocked.extend(blocked)
+        self.blocked_in_doubt_total += len(blocked)
         # -- kill the shard's pinned workers ------------------------------- #
-        shard_workers = [w for w in scheduler._workers
-                         if runtime.shard_of_worker(w.worker_id) == shard]
-        lost_inflight = scheduler.crash_workers(shard_workers,
-                                                outcome="shard_crash")
+        worker_ids = self._workers_of(shard)
+        lost_inflight = scheduler.crash_workers(
+            [scheduler._workers[worker_id] for worker_id in worker_ids],
+            outcome="shard_crash")
         self.lost_inflight_total += lost_inflight
-        for worker in shard_workers:
-            self._pending_cost.pop(worker.worker_id, None)
+        for worker_id in worker_ids:
+            self._pending_cost.pop(worker_id, None)
         if scheduler.faults is not None:
-            scheduler.faults.on_shard_crash(
-                [w.worker_id for w in shard_workers])
+            scheduler.faults.on_shard_crash(worker_ids)
         # -- roll the voided installs back out of the live database -------- #
-        lost_with_images = [r for r in lost_records if r.writes]
-        for epoch in sorted(self._awaiting):
-            by_shard = self._awaiting[epoch]
-            for s in sorted(by_shard):
-                lost_with_images.extend(
-                    r for r in by_shard[s] if r.txn_id in lost and r.writes)
-        rolled_back = self._rollback_voided(lost, lost_with_images)
-        # -- interrupt poisoned survivors ---------------------------------- #
-        # ctx.doomed alone only reaches executors that re-check it; a 2PL
-        # reader of a rolled-back version would never version-validate,
-        # so poisoned transactions are aborted through the fault path.
-        doomed_survivors = 0
-        for worker in scheduler._workers:
-            if worker.finished:
-                continue
-            worker_id = worker.worker_id
-            if runtime.shard_of_worker(worker_id) == shard:
-                continue
-            ctx = worker.current_ctx
-            if ctx is None or not ctx.is_active():
-                continue
-            poisoned = shard in runtime.touched_shards(worker_id)
-            if not poisoned:
-                for entry in ctx.rset.values():
-                    vid = entry.version_id
-                    if vid is not None and vid[0] in lost:
-                        poisoned = True
-                        break
-            if not poisoned:
-                continue
-            ctx.doomed = True
-            doomed_survivors += 1
-            exc = TransactionAborted(
-                AbortReason.FAULT, f"shard {shard} crashed",
-                site=f"shard{shard}")
-            if scheduler.is_parked(worker):
-                # interrupt now: the wait's wake key may never fire again
-                scheduler.cancel_wait(worker, outcome="fault")
-                scheduler._pending_exc[worker] = exc
-                scheduler._schedule_worker(worker, now)
-            else:
-                # sleeping mid-transaction: abort at the natural wake-up
-                # so the charged cost span stays consistent with time
-                scheduler._pending_exc[worker] = exc
+        rolled_back = self._rollback_voided(
+            lost, lost_records + [r for _, r in awaiting_lost])
+        doomed_survivors = self._doom_poisoned_survivors(shard, lost)
         runtime.mark_shard_down(shard)
         # -- downtime accounting ------------------------------------------- #
         checkpoint = self._usable_checkpoint()
         replayed = sum(1 for r in self.shard_logs[shard]
                        if r.seqno > checkpoint.last_seqno)
-        for epoch in sorted(self._awaiting):
-            replayed += len(self._awaiting[epoch].get(shard, ()))
+        replayed += sum(len(by_shard.get(shard, ()))
+                        for by_shard in self._awaiting.values())
         recovery_ticks = (self.dc.recovery_base
                           + self.dc.replay_per_record * replayed)
         self.recovery_ticks_total += recovery_ticks
@@ -691,12 +550,12 @@ class ClusterDurability(DurabilityManager):
         self.shard_downtime_total += max(0.0, charged_until - now)
         self._charged_down_until[shard] = charged_until
         if scheduler.accountant is not None and charged_until > now:
-            for worker in shard_workers:
-                scheduler.accountant.on_wait(worker.worker_id, "recovery",
+            for worker_id in worker_ids:
+                scheduler.accountant.on_wait(worker_id, "recovery",
                                              charged_until - now)
-        timeline = getattr(scheduler, "timeline", None)
+        timeline = scheduler.timeline
         if timeline is not None and charged_until > now:
-            timeline.on_recovery(now, charged_until, len(shard_workers))
+            timeline.on_recovery(now, charged_until, len(worker_ids))
             timeline.on_shard_down(now, charged_until, shard)
         if scheduler.trace.enabled:
             scheduler.trace.emit(TraceEvent(
@@ -706,7 +565,7 @@ class ClusterDurability(DurabilityManager):
                        "lost_inflight": lost_inflight,
                        "lost_unflushed": len(lost_records),
                        "voided": len(lost),
-                       "blocked_in_doubt": blocked_now,
+                       "blocked_in_doubt": len(blocked),
                        "rolled_back": rolled_back}))
             scheduler.trace.emit(TraceEvent(
                 now, EventKind.RECOVERY, -1,
@@ -716,22 +575,54 @@ class ClusterDurability(DurabilityManager):
                        "recovery_ticks": recovery_ticks,
                        "restart": restart}))
         # -- schedule the rejoin ------------------------------------------- #
-        generation = self._crash_generation
         shard_generation = self._shard_generation[shard]
         restart_salt = SHARD_RESTART_RNG_SALT + self.shard_crash_count
         scheduler.schedule_callback(
             restart, lambda: self._rejoin_shard(
-                shard, restart, restart_salt, generation, shard_generation))
+                shard, restart, restart_salt, shard_generation))
         self.violations.extend(
             f"shard_crash(#{self.shard_crash_count} shard {shard} @ {now}): "
             f"{v}" for v in violations)
         scheduler.wake_parked()
         report = ShardCrashReport(
             now, shard, restart, shard_persistent, lost_inflight,
-            len(lost_records), len(lost), blocked_now, rolled_back,
+            len(lost_records), len(lost), len(blocked), rolled_back,
             doomed_survivors, recovery_ticks, violations)
         self.shard_crashes.append(report)
         return report
+
+    def _doom_poisoned_survivors(self, shard: int, lost: Set[int]) -> int:
+        """Interrupt every live transaction on another shard that touched
+        the dead ``shard`` or read a version of a ``lost`` transaction.
+        ``ctx.doomed`` alone only reaches executors that re-check it; a
+        2PL reader of a rolled-back version would never version-validate,
+        so poisoned transactions are aborted through the fault path."""
+        scheduler = self.scheduler
+        runtime = self.runtime
+        doomed = 0
+        for worker in scheduler._workers:
+            worker_id = worker.worker_id
+            ctx = worker.current_ctx
+            if worker.finished or ctx is None or not ctx.is_active() \
+                    or runtime.shard_of_worker(worker_id) == shard:
+                continue
+            if shard not in runtime.touched_shards(worker_id) and not any(
+                    entry.version_id is not None
+                    and entry.version_id[0] in lost
+                    for entry in ctx.rset.values()):
+                continue
+            ctx.doomed = True
+            doomed += 1
+            # a sleeping worker aborts at its natural wake-up, so the
+            # charged cost span stays consistent with time
+            scheduler._pending_exc[worker] = TransactionAborted(
+                AbortReason.FAULT, f"shard {shard} crashed",
+                site=f"shard{shard}")
+            if scheduler.is_parked(worker):
+                # interrupt now: the wait's wake key may never fire again
+                scheduler.cancel_wait(worker, outcome="fault")
+                scheduler._schedule_worker(worker, scheduler.now)
+        return doomed
 
     def _rollback_voided(self, lost: Set[int],
                          lost_with_images: List[LogRecord]) -> int:
@@ -779,39 +670,28 @@ class ClusterDurability(DurabilityManager):
         return rolled_back
 
     def _rejoin_shard(self, shard: int, restart: float, restart_salt: int,
-                      generation: int, shard_generation: int) -> None:
+                      shard_generation: int) -> None:
         """The crashed shard completed recovery: rejoin it behind the
         live watermark, resolve the prepares its death left blocked, and
         restart its pinned workers."""
-        if generation != self._crash_generation:
-            return  # a whole-node crash superseded this rejoin
         if shard_generation != self._shard_generation[shard]:
-            return  # the shard crashed again before rejoining
+            return  # a node crash, or the shard crashing again, came first
         scheduler = self.scheduler
-        runtime = self.runtime
         # rejoin *behind* the watermark: the shard's clock jumps to the
         # currently-open epoch, so its first flush registers for it and
         # the live watermark is unchanged by the rejoin
         self._shard_persistent[shard] = self.current_epoch - 1
-        self._shard_flush_free[shard] = 0.0
         # the message-dedup state restarts from what is provably durable
-        decided = {r.txn_id for r in self.shard_logs[shard]
-                   if isinstance(r, DecisionMarker)}
-        for epoch in sorted(self._awaiting):
-            decided.update(r.txn_id
-                           for r in self._awaiting[epoch].get(shard, ())
-                           if isinstance(r, DecisionMarker))
-        self._decided[shard] = decided
+        self._decided[shard] = {
+            r.txn_id for r in chain(
+                self.shard_logs[shard],
+                *(by_shard.get(shard, ())
+                  for by_shard in self._awaiting.values()))
+            if isinstance(r, DecisionMarker)}
         resolutions = self.resolve_blocked(shard)
-        runtime.mark_shard_up(shard)
-        worker_ids = [worker_id for worker_id in range(self.config.n_workers)
-                      if runtime.shard_of_worker(worker_id) == shard]
-        new_workers = [
-            self._worker_factory(
-                worker_id,
-                spawn_rng(self.config.seed, worker_id, restart_salt))
-            for worker_id in worker_ids
-        ]
+        self.runtime.mark_shard_up(shard)
+        new_workers = self._spawn_workers(self._workers_of(shard),
+                                          restart_salt)
         scheduler.replace_worker_subset(new_workers, restart)
         scheduler.last_commit_time = max(scheduler.last_commit_time, restart)
         if scheduler.trace.enabled:
@@ -820,201 +700,6 @@ class ClusterDurability(DurabilityManager):
                 attrs={"shard": shard, "rejoined": True,
                        "resolved_in_doubt": len(resolutions),
                        "workers": len(new_workers)}))
-
-    def resolve_blocked(self, shard: int) -> Dict[int, bool]:
-        """Resolve the prepares blocked in doubt by ``shard``'s death
-        against its recovered durable log: txn_id -> True (commit) /
-        False (presumed abort).  In a real run the coordinator's
-        decision was truncated with the shard — that is what blocked the
-        prepare — so every resolution here is a presumed abort fired
-        against live survivors; the commit branch exists for hand-built
-        logs.  Re-resolution is idempotent and can never flip a
-        decision.  Called at shard rejoin; public for the tests."""
-        decided = {r.txn_id for r in self.shard_logs[shard]
-                   if isinstance(r, DecisionRecord)
-                   and r.txn_id not in self._void_txns}
-        still_blocked: List[Tuple[int, PrepareRecord]] = []
-        resolutions: Dict[int, bool] = {}
-        for participant, record in self._blocked:
-            if record.coordinator != shard:
-                still_blocked.append((participant, record))
-                continue
-            self.in_doubt_total += 1
-            committed = (record.txn_id in decided
-                         and record.txn_id not in self.lost_txn_ids)
-            resolutions[record.txn_id] = committed
-            if committed:
-                self.in_doubt_commits += 1
-                self._decided[participant].add(record.txn_id)
-            else:
-                self.in_doubt_aborts += 1
-                if record.txn_id in self._acked_txns:
-                    self.violations.append(
-                        f"2pc: acked txn {record.txn_id} resolved as "
-                        f"presumed abort on shard {participant}")
-                self.lost_txn_ids.add(record.txn_id)
-                self._void_txns.add(record.txn_id)
-        self._blocked = still_blocked
-        return resolutions
-
-    def node_crash(self) -> RecoveryReport:
-        scheduler = self.scheduler
-        now = scheduler.now
-        self.crash_count += 1
-        self._crash_generation += 1
-        # a whole-cluster crash supersedes any partial-failure state:
-        # every shard restarts together, and truncating to the watermark
-        # evaporates the durable-but-unacked prepares blocked in doubt
-        self._blocked = []
-        for s in range(self.n_shards):
-            self._shard_generation[s] += 1
-        if self.runtime.any_down:
-            for s in range(self.n_shards):
-                if self.runtime.shard_down[s]:
-                    self.runtime.mark_shard_up(s)
-        # -- truncate every shard to the cluster watermark ---------------- #
-        # Epochs flushed on only some shards (_awaiting) are discarded too:
-        # an epoch is committed only when durable everywhere, which is what
-        # keeps cross-shard commits atomic under failure.
-        lost_records: List[LogRecord] = []
-        for shard in range(self.n_shards):
-            lost_records.extend(self._shard_buffers[shard])
-            self._shard_buffers[shard] = []
-            for epoch in sorted(self._shard_inflight[shard]):
-                lost_records.extend(self._shard_inflight[shard][epoch])
-            self._shard_inflight[shard].clear()
-            self._shard_flush_free[shard] = 0.0
-        for epoch in sorted(self._awaiting):
-            for shard in sorted(self._awaiting[epoch]):
-                lost_records.extend(self._awaiting[epoch][shard])
-        self._awaiting.clear()
-        self._pending_cost.clear()
-        self.runtime.network.clear_faults()
-        lost_unflushed = len(lost_records)
-        # markers reference *older* durable transactions — losing a marker
-        # never loses the transaction it points at
-        self.lost_txn_ids.update(r.txn_id for r in lost_records
-                                 if not isinstance(r, DecisionMarker))
-        self.lost_unflushed_total += lost_unflushed
-        # -- kill every worker across the cluster ------------------------- #
-        lost_inflight = scheduler.crash_all_workers()
-        self.lost_inflight_total += lost_inflight
-        if scheduler.faults is not None:
-            scheduler.faults.on_node_crash()
-        # -- resolve in-doubt prepares, then replay ----------------------- #
-        resolutions = self.resolve_in_doubt()
-        aborted = {txn_id for txn_id, committed in resolutions.items()
-                   if not committed}
-        durable_seqno = self._durable_seqno()
-        checkpoint = self._usable_checkpoint()
-        allocator_seq = self.db.allocator._next_seq
-        new_db = Database.from_snapshot(checkpoint.snapshot,
-                                        allocator_seq=allocator_seq)
-        replayed = 0
-        for record in self.durable_log:
-            if record.seqno <= checkpoint.last_seqno:
-                continue
-            if isinstance(record, PrepareRecord) and record.txn_id in aborted:
-                continue  # presumed abort: its images must not surface
-            if self._void_txns and record.txn_id in self._void_txns:
-                continue  # shard-crash residue: never acked, never applied
-            apply_record(new_db, record)
-            replayed += 1
-        recovered_snapshot = new_db.snapshot()
-        # -- durability oracle -------------------------------------------- #
-        violations = verify_recovery(
-            self.durable_view, recovered_snapshot, self.max_acked_seqno,
-            durable_seqno, self._durable_vids)
-        self.violations.extend(
-            f"durability(crash #{self.crash_count} @ {now}): {v}"
-            for v in violations)
-        # -- downtime, database swap, worker restart ---------------------- #
-        recovery_ticks = (self.dc.recovery_base
-                          + self.dc.replay_per_record * replayed)
-        self.recovery_ticks_total += recovery_ticks
-        restart = now + recovery_ticks
-        self.db = new_db
-        self.workload.db = new_db
-        # re-shard before the CC re-binds: the executor caches the table
-        # dict at recovery exactly like at setup
-        self.runtime.shard_tables(new_db)
-        self.cc.on_node_recovery(new_db)
-        charged_until = min(restart, self.config.duration)
-        if scheduler.accountant is not None and charged_until > now:
-            for worker_id in range(self.config.n_workers):
-                scheduler.accountant.on_wait(worker_id, "recovery",
-                                             charged_until - now)
-            # a down shard's workers were already charged recovery up to
-            # their rejoin point — refund the span the whole-node charge
-            # just covered twice
-            for s, until in enumerate(self._charged_down_until):
-                overlap = min(until, charged_until) - now
-                if overlap > 0:
-                    for worker_id in range(self.config.n_workers):
-                        if self.runtime.shard_of_worker(worker_id) == s:
-                            scheduler.accountant.on_wait(
-                                worker_id, "recovery", -overlap)
-        self._charged_down_until = [0.0] * self.n_shards
-        timeline = getattr(scheduler, "timeline", None)
-        if timeline is not None:
-            timeline.on_recovery(now, charged_until, self.config.n_workers)
-        if scheduler.trace.enabled:
-            scheduler.trace.emit(TraceEvent(
-                now, EventKind.NODE_CRASH, -1,
-                attrs={"persistent_epoch": self.persistent_epoch,
-                       "durable_seqno": durable_seqno,
-                       "lost_inflight": lost_inflight,
-                       "lost_unflushed": lost_unflushed,
-                       "in_doubt": len(resolutions)}))
-            scheduler.trace.emit(TraceEvent(
-                now, EventKind.RECOVERY, -1,
-                attrs={"checkpoint_seqno": checkpoint.last_seqno,
-                       "replayed": replayed,
-                       "recovery_ticks": recovery_ticks,
-                       "restart": restart}))
-        new_workers = [
-            self._worker_factory(
-                worker_id,
-                spawn_rng(self.config.seed, worker_id,
-                          RESTART_RNG_SALT + self.crash_count))
-            for worker_id in range(self.config.n_workers)
-        ]
-        scheduler.replace_workers(new_workers, restart)
-        scheduler.last_commit_time = max(scheduler.last_commit_time, restart)
-        # -- restart the epoch clocks at the watermark --------------------- #
-        self.current_epoch = self.persistent_epoch + 1
-        self._shard_persistent = [self.persistent_epoch] * self.n_shards
-        generation = self._crash_generation
-        scheduler.schedule_callback(
-            restart + self.dc.epoch_length,
-            lambda: self._on_epoch_boundary(generation))
-        self.checkpoints.append(Checkpoint(restart, durable_seqno,
-                                           recovered_snapshot))
-        self.checkpoints_taken += 1
-        self._prune_checkpoints()
-        if self.dc.checkpoint_interval > 0:
-            scheduler.schedule_callback(
-                restart + self.dc.checkpoint_interval,
-                lambda: self._on_checkpoint(generation))
-        report = RecoveryReport(
-            now, restart, self.persistent_epoch, durable_seqno,
-            checkpoint.last_seqno, replayed, lost_inflight, lost_unflushed,
-            recovery_ticks, violations, recovered_snapshot)
-        self.recoveries.append(report)
-        return report
-
-    # ------------------------------------------------------------------ #
-
-    @property
-    def unflushed_records(self) -> int:
-        """Records not yet cluster-committed: current buffers, in-flight
-        shard flushes, and flushed epochs awaiting the watermark."""
-        total = sum(len(buf) for buf in self._shard_buffers)
-        for inflight in self._shard_inflight:
-            total += sum(len(records) for records in inflight.values())
-        for by_shard in self._awaiting.values():
-            total += sum(len(records) for records in by_shard.values())
-        return total
 
     def metrics_rows(self):
         rows = [
@@ -1033,9 +718,3 @@ class ClusterDurability(DurabilityManager):
                 ("cluster_voided_txns", float(len(self._void_txns))),
             ])
         return rows
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"ClusterDurability(shards={self.n_shards}, "
-                f"epoch={self.current_epoch}, "
-                f"watermark={self.persistent_epoch}, "
-                f"crashes={self.crash_count})")

@@ -106,12 +106,13 @@ class DurabilityConfig:
     """Epoch-based group-commit durability (Silo's commit protocol plus
     SiloR-style logging, checkpointing and recovery).
 
-    Committed transactions are appended to per-worker log buffers; at every
-    ``epoch_length`` boundary the buffers are flushed as one group commit
-    and client acks are released only once the flush completes, so "acked"
-    and "durable" coincide.  A scripted ``node_crash`` fault truncates the
-    log to the *persistent epoch* (the latest epoch fully flushed by every
-    worker) and recovers from the newest durable checkpoint plus log replay.
+    Committed transactions are appended to their shard's log buffer (one
+    shard on a single node); at every ``epoch_length`` boundary each buffer
+    is flushed as one group commit and client acks are released only once
+    the flush completes, so "acked" and "durable" coincide.  A scripted
+    ``node_crash`` fault truncates the log to the *persistent epoch* (the
+    latest epoch fully flushed on every shard) and recovers from the newest
+    durable checkpoint plus log replay.
 
     Attributes:
         epoch_length: ticks between epoch boundaries (group-commit cadence).

@@ -16,7 +16,7 @@ for reasoning about flush volume; nothing is actually serialised.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..storage.database import detach_row
 
@@ -55,6 +55,13 @@ class LogRecord:
                  "first_start", "commit_time", "writes", "nbytes",
                  "deadline", "reads")
 
+    #: this record's durability is what acks its transaction to the client
+    #: (exactly one record per transaction; 2PC prepares and markers not)
+    acks = True
+    #: losing this record loses its transaction (False only for records
+    #: that merely point at an older, already durable one: 2PC markers)
+    carries_txn = True
+
     def __init__(self, seqno: int, epoch: int, txn_id: int, worker_id: int,
                  type_name: str, first_start: float, commit_time: float,
                  writes: List[WriteImage],
@@ -92,6 +99,11 @@ class LogRecord:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"LogRecord(seq={self.seqno}, epoch={self.epoch}, "
                 f"txn={self.txn_id}, writes={len(self.writes)})")
+
+
+def lost_txns(records) -> Set[int]:
+    """Txn ids of the transactions lost when ``records`` are truncated."""
+    return {record.txn_id for record in records if record.carries_txn}
 
 
 def apply_record(db, record: LogRecord) -> None:

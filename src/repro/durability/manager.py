@@ -1,21 +1,28 @@
 """Epoch-based group-commit durability: logging, checkpoints, crash, recovery.
 
 This is the simulated equivalent of Silo's epoch group commit plus SiloR's
-logging/checkpoint/recovery pipeline, driven entirely by scheduler events:
+logging/checkpoint/recovery pipeline, driven entirely by scheduler events.
+:class:`DurabilityManager` is the one owner of the log state and the one
+definition of the epoch boundary, flush completion, the watermark, the ack
+and the whole-node crash — for N shards, where a single node is N = 1.
+The cluster's 2PC layer (:mod:`repro.cluster.durability`) subclasses it
+for what has no one-shard meaning and reaches in through a few hooks.
 
 * **logging** — :meth:`DurabilityManager.log_commit` is called from
   ``validation.finish`` at *install* time (the single commit point shared
   by every protocol).  It assigns the commit a global sequence number and
   the current epoch, and appends a :class:`~repro.durability.log.LogRecord`
-  to the committing worker's log buffer.  The worker then pays
-  ``log_write`` ticks per written image (:meth:`consume_log_cost`).
-* **group commit** — at every ``epoch_length`` boundary the per-worker
-  buffers for the closing epoch are merged (seqno order) and handed to the
-  serial log device; the flush completes ``log_flush`` ticks after the
-  device is free.  When it completes, the *persistent epoch* advances and
-  the epoch's transactions are **acked**: only then does
-  ``RunStats.record_commit`` run, so reported commits/latency are of
-  durable transactions, exactly like Silo's client-visible commits.
+  to the owning shard's log buffer.  The worker then pays ``log_write``
+  ticks per record header and written image (:meth:`consume_log_cost`).
+* **group commit** — one epoch clock closes every shard's epoch together;
+  at every ``epoch_length`` boundary each shard hands its buffer (already
+  in seqno order — appends happen under the install lock) to its own
+  serial log device, and the flush completes ``log_flush`` ticks after
+  the device is free.  The *persistent epoch* is the watermark — the min
+  over live shards of the latest epoch each has flushed; when it advances
+  the covered epochs' transactions are **acked**, in seqno order: only
+  then does ``RunStats.record_commit`` run, so reported commits/latency
+  are of durable transactions, exactly like Silo's client-visible commits.
 * **checkpoints** — :class:`Database` snapshots tagged with the last
   assigned seqno, taken at t=0, every ``checkpoint_interval`` ticks, and
   after each recovery.  Charged no simulated time (SiloR checkpoints on
@@ -25,11 +32,12 @@ logging/checkpoint/recovery pipeline, driven entirely by scheduler events:
   compares against.
 * **node crash** — the scripted ``node_crash`` fault calls
   :meth:`node_crash`: every worker is torn down (in-flight attempts abort
-  through their normal cleanup, pre-charged sleep time is refunded), the
-  log is truncated to the persistent epoch, and recovery rebuilds a fresh
-  database from the newest usable checkpoint plus log replay in seqno
-  order.  Workers restart after ``recovery_base + replay_per_record * n``
-  ticks of downtime, charged as a ``wait:recovery`` span.
+  through their normal cleanup, pre-charged sleep time is refunded),
+  every shard's log is truncated to the watermark (epochs flushed on only
+  some shards go too), and recovery rebuilds a fresh database from the
+  newest usable checkpoint plus log replay in seqno order.  Workers
+  restart after ``recovery_base + replay_per_record * n`` ticks of
+  downtime, charged as a ``wait:recovery`` span.
 
 The durable log prefix is **dependency-closed**: the commit-phase
 dependency wait guarantees a dependency installs (and receives its seqno
@@ -46,14 +54,15 @@ crashed-and-recovered run is replayable bit for bit.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Set,
+                    Tuple, TYPE_CHECKING)
 
 from ..config import SimConfig
 from ..errors import ReproError
 from ..obs.tracing import EventKind, TraceEvent
 from ..rng import spawn_rng
 from ..storage.database import Database, Snapshot
-from .log import LogRecord, WriteImage, apply_record
+from .log import LogRecord, WriteImage, apply_record, lost_txns
 from .oracle import verify_recovery
 from .view import DurableView
 
@@ -123,12 +132,14 @@ class RecoveryReport:
 
 
 class DurabilityManager:
-    """Owns the simulated WAL, the epoch clock, checkpoints and recovery
-    for one run.  Created by the bench runner when ``config.durability``
-    is set and attached to the scheduler as ``scheduler.durability``."""
+    """Owns the simulated WAL — one log, flush device and persistent epoch
+    per shard, a single shard unless a cluster runtime says otherwise —
+    plus the epoch clock, the watermark, checkpoints and recovery for one
+    run.  Created by the bench runner when ``config.durability`` is set
+    and attached to the scheduler as ``scheduler.durability``."""
 
     def __init__(self, config: SimConfig, db: Database, workload, cc,
-                 stats: "RunStats") -> None:
+                 stats: "RunStats", n_shards: int = 1) -> None:
         if config.durability is None:
             raise ReproError("DurabilityManager requires config.durability")
         self.config = config
@@ -137,29 +148,51 @@ class DurabilityManager:
         self.workload = workload
         self.cc = cc
         self.stats = stats
+        self.n_shards = n_shards
         self.scheduler: Optional["Scheduler"] = None
         self._worker_factory: Optional[Callable[[int, "random.Random"],
                                                 "Worker"]] = None
         # -- log state -------------------------------------------------- #
         #: last assigned global commit sequence number (0 = none yet)
         self.seqno = 0
-        #: epoch currently receiving commits (epochs are 1-based)
+        #: epoch currently receiving commits (epochs are 1-based); one
+        #: clock closes every shard's epoch together
         self.current_epoch = 1
-        #: latest epoch whose group flush has completed (0 = none yet)
+        #: the watermark: latest epoch whose group flush has completed on
+        #: every live shard (0 = none yet).  Only covered epochs are acked
         self.persistent_epoch = 0
-        #: per-worker log buffers for the current epoch
-        self._buffers: Dict[int, List[LogRecord]] = {}
         #: log-write cost owed by each worker at its next commit yield
         self._pending_cost: Dict[int, float] = {}
-        #: group flushes handed to the device but not yet completed
-        #: (truncated on crash: their epochs are not persistent)
-        self._inflight: Dict[int, List[LogRecord]] = {}
-        #: simulated time at which the serial log device becomes free
-        self._flush_free_at = 0.0
-        #: the durable log: flushed records in seqno order
+        # -- per-shard log state ---------------------------------------- #
+        #: current-epoch buffers (append order = seqno order: every append
+        #: takes a fresh global seqno under the install lock)
+        self._shard_buffers: List[List[LogRecord]] = [
+            [] for _ in range(n_shards)]
+        #: simulated time at which each serial log device becomes free
+        self._shard_flush_free: List[float] = [0.0] * n_shards
+        #: group flushes handed to a device but not yet completed, epoch ->
+        #: records (truncated on crash: their epochs are not persistent)
+        self._shard_inflight: List[Dict[int, List[LogRecord]]] = [
+            {} for _ in range(n_shards)]
+        #: latest epoch flushed on each shard
+        self._shard_persistent: List[int] = [0] * n_shards
+        #: bumped when a shard's log truncates, so the flush completions
+        #: (and rejoin) scheduled for the dead device die
+        self._shard_generation: List[int] = [0] * n_shards
+        #: shards that neither flush nor hold the watermark back (fed only
+        #: by the cluster layer, which aliases the runtime's flags here)
+        self._shard_down: List[bool] = [False] * n_shards
+        #: flushed records awaiting watermark coverage: epoch -> shard ->
+        #: records (durable on their own shard, not yet committed)
+        self._awaiting: Dict[int, Dict[int, List[LogRecord]]] = {}
+        #: the durable per-shard logs (watermark-covered, seqno order)
+        self.shard_logs: List[List[LogRecord]] = [
+            [] for _ in range(n_shards)]
+        #: the durable log: every shard's covered records merged in seqno
+        #: order (what recovery replays)
         self.durable_log: List[LogRecord] = []
         #: committed state implied by the durable log (recovery oracle's
-        #: expected state; folded forward as flushes complete).  Built by
+        #: expected state; folded forward as epochs are acked).  Built by
         #: :meth:`install` over the t=0 image it shares with checkpoint 0
         self.durable_view: Optional[DurableView] = None
         #: version ids made durable so far (oracle: nothing else may
@@ -167,6 +200,11 @@ class DurabilityManager:
         self._durable_vids: Set[tuple] = set()
         #: highest seqno acked to a client (oracle: must stay durable)
         self.max_acked_seqno = 0
+        #: txn ids voided after they were logged (fed only by the cluster
+        #: layer's shard crashes): their durable records stay in the logs
+        #: as residue but are never acked, never folded into the durable
+        #: view and skipped by replay
+        self._void_txns: Set[int] = set()
         # -- checkpoints ------------------------------------------------ #
         self.checkpoints: List[Checkpoint] = []
         self.checkpoints_taken = 0
@@ -188,7 +226,8 @@ class DurabilityManager:
         self.recoveries: List[RecoveryReport] = []
         #: durability-oracle violations across the run ([] = all clean)
         self.violations: List[str] = []
-        #: invalidates scheduled epoch/flush/checkpoint callbacks on crash
+        #: invalidates scheduled epoch/checkpoint callbacks (and the
+        #: cluster layer's in-flight decision messages) on a node crash
         self._crash_generation = 0
 
     # ------------------------------------------------------------------ #
@@ -200,45 +239,69 @@ class DurabilityManager:
         """Attach to the scheduler: capture the t=0 image once — it is
         both checkpoint 0 and the durable view's base — and start the
         epoch (and optional checkpoint) clocks.  ``worker_factory``
-        builds replacement workers after a node crash."""
+        builds replacement workers after a crash."""
         self.scheduler = scheduler
         self._worker_factory = worker_factory
         self._take_checkpoint()
         self.durable_view = DurableView(self.checkpoints[0].snapshot)
+        self._start_clocks(0.0)
+
+    def _start_clocks(self, origin: float) -> None:
         generation = self._crash_generation
-        scheduler.schedule_callback(
-            self.dc.epoch_length,
+        self.scheduler.schedule_callback(
+            origin + self.dc.epoch_length,
             lambda: self._on_epoch_boundary(generation))
         if self.dc.checkpoint_interval > 0:
-            scheduler.schedule_callback(
-                self.dc.checkpoint_interval,
+            self.scheduler.schedule_callback(
+                origin + self.dc.checkpoint_interval,
                 lambda: self._on_checkpoint(generation))
+
+    def _spawn_workers(self, worker_ids, salt: int) -> List["Worker"]:
+        """Replacement workers for a restart, on fresh deterministic RNG
+        streams (``salt`` names the restart cohort)."""
+        return [self._worker_factory(
+                    worker_id, spawn_rng(self.config.seed, worker_id, salt))
+                for worker_id in worker_ids]
 
     # ------------------------------------------------------------------ #
     # logging (hot path: called once per commit)
 
     def log_commit(self, ctx: "TxnContext") -> None:
-        """Append one committed transaction to its worker's log buffer.
-        Called from ``validation.finish`` at install time, so append order
-        (the assigned seqno) is exactly the commit-lock install order."""
-        self.seqno += 1
-        worker = ctx.worker
-        worker_id = worker.worker_id if worker is not None else -1
+        """Append one committed transaction to the log buffer.  Called
+        from ``validation.finish`` at install time, so append order (the
+        assigned seqno) is exactly the commit-lock install order.  The
+        cluster layer overrides this — splitting the images by owning
+        shard and collecting the read set is cluster-only work — but
+        appends and charges through the same :meth:`_append_records`."""
         writes = [
             WriteImage(entry.table, entry.key, entry.value,
                        entry.installed_vid)
             for entry in sorted(ctx.wset.values(), key=lambda e: e.order)
             if entry.installed_vid is not None
         ]
-        record = LogRecord(self.seqno, self.current_epoch, ctx.txn_id,
-                           worker_id, ctx.type_name, ctx.priority[0],
-                           self.scheduler.now, writes,
-                           deadline=worker.deadline
-                           if worker is not None else None)
-        self._buffers.setdefault(worker_id, []).append(record)
+        self._append_records(ctx, [(0, LogRecord, writes, {})])
+
+    def _append_records(self, ctx: "TxnContext", parts, reads=()) -> None:
+        """The one place a commit reaches the log.  ``parts`` lists the
+        records to write as (shard, record class, write images, extra
+        fields); each takes the next seqno in the open epoch, and the
+        committing worker is charged ``log_write`` per record header and
+        per image, once for the whole commit."""
+        worker = ctx.worker
+        worker_id = worker.worker_id if worker is not None else -1
+        deadline = worker.deadline if worker is not None else None
+        now = self.scheduler.now
+        n_images = 0
+        for shard, record_cls, writes, fields in parts:
+            self.seqno += 1
+            self._shard_buffers[shard].append(record_cls(
+                self.seqno, self.current_epoch, ctx.txn_id, worker_id,
+                ctx.type_name, ctx.priority[0], now, writes,
+                deadline=deadline, reads=reads, **fields))
+            n_images += len(writes)
         self._pending_cost[worker_id] = (
             self._pending_cost.get(worker_id, 0.0)
-            + self.dc.log_write * (1 + len(writes)))
+            + self.dc.log_write * (len(parts) + n_images))
 
     def consume_log_cost(self, worker_id: int) -> float:
         """Ticks the committing worker owes for its buffered log append
@@ -246,7 +309,7 @@ class DurabilityManager:
         return self._pending_cost.pop(worker_id, 0.0)
 
     # ------------------------------------------------------------------ #
-    # the epoch clock and the serial flush device
+    # the epoch clock over the per-shard serial flush devices
 
     def _on_epoch_boundary(self, generation: int) -> None:
         if generation != self._crash_generation:
@@ -261,50 +324,79 @@ class DurabilityManager:
         lag = closing - self.persistent_epoch
         if lag > self.max_epoch_lag:
             self.max_epoch_lag = lag
-        records: List[LogRecord] = []
-        for worker_id in sorted(self._buffers):
-            records.extend(self._buffers[worker_id])
-        self._buffers.clear()
-        records.sort(key=lambda r: r.seqno)
-        # one serial log device: a flush starts when the device is free and
-        # the boundary has passed, so slow flushes queue and stall acks
-        start = max(now, self._flush_free_at)
-        if records:
-            self.flushes += 1
-            if start > now:
-                self.flush_stalls += 1
-            # getattr: durability unit tests drive stub schedulers that
-            # predate the timeline attribute
-            timeline = getattr(scheduler, "timeline", None)
-            if timeline is not None:
-                timeline.on_flush(now, stalled=start > now)
-            completion = start + self.dc.log_flush
-        else:
-            completion = start  # empty epoch: a free marker, still ordered
-        self._flush_free_at = completion
-        self._inflight[closing] = records
-        if completion <= now:
-            self._complete_flush(closing, generation)
-        else:
-            scheduler.schedule_callback(
-                completion, lambda: self._complete_flush(closing, generation))
+        timeline = scheduler.timeline
+        for shard in range(self.n_shards):
+            if self._shard_down[shard]:
+                # a down shard neither buffers nor flushes; it rejoins
+                # behind the watermark with its clock jumped forward
+                continue
+            records = self._shard_buffers[shard]
+            self._shard_buffers[shard] = []
+            # a serial log device: a flush starts when the device is free
+            # and the boundary has passed, so slow flushes queue and stall
+            start = max(now, self._shard_flush_free[shard])
+            if records:
+                self.flushes += 1
+                if start > now:
+                    self.flush_stalls += 1
+                if timeline is not None:
+                    timeline.on_flush(now, stalled=start > now)
+                completion = start + self.dc.log_flush
+            else:
+                completion = start  # empty epoch: a free marker, still ordered
+            self._shard_flush_free[shard] = completion
+            self._shard_inflight[shard][closing] = records
+            shard_generation = self._shard_generation[shard]
+            if completion <= now:
+                self._complete_shard_flush(shard, closing, shard_generation)
+            else:
+                scheduler.schedule_callback(
+                    completion, lambda s=shard, g=shard_generation:
+                        self._complete_shard_flush(s, closing, g))
 
-    def _complete_flush(self, epoch: int, generation: int) -> None:
-        if generation != self._crash_generation:
-            return  # the crash already truncated this in-flight flush
-        records = self._inflight.pop(epoch, [])
-        self.persistent_epoch = epoch
+    def _complete_shard_flush(self, shard: int, epoch: int,
+                              shard_generation: int) -> None:
+        if shard_generation != self._shard_generation[shard]:
+            return  # a crash already truncated this in-flight flush
+        records = self._shard_inflight[shard].pop(epoch, [])
+        self._shard_persistent[shard] = epoch
+        self._awaiting.setdefault(epoch, {})[shard] = records
+        watermark = min(
+            persistent for persistent, down
+            in zip(self._shard_persistent, self._shard_down) if not down)
+        while self.persistent_epoch < watermark:
+            next_epoch = self.persistent_epoch + 1
+            self._ack_epoch(next_epoch)
+            self.persistent_epoch = next_epoch
+
+    def _ack_epoch(self, epoch: int) -> None:
+        """The watermark reached ``epoch``: its flush completed on every
+        live shard, so its records are committed.  Append them to the
+        durable logs, ack the client-visible commits in seqno order, fold
+        them into the durable view."""
+        by_shard = self._awaiting.pop(epoch, {})
+        merged: List[LogRecord] = []
+        for shard in sorted(by_shard):
+            self.shard_logs[shard].extend(by_shard[shard])
+            merged.extend(by_shard[shard])
+        merged.sort(key=lambda r: r.seqno)
+        self.durable_log.extend(merged)
+        nbytes = sum(record.nbytes for record in merged)
+        void = self._void_txns
+        live = ([r for r in merged if r.txn_id not in void] if void
+                else merged)
         scheduler = self.scheduler
         now = scheduler.now
-        nbytes = 0
         #: per-type [count, total ack latency] — built only for the trace,
         #: consumed by the latency critical path's epoch_flush component
         acks = {} if scheduler.trace.enabled else None
-        for record in records:
-            self.durable_log.append(record)
+        view = self.durable_view
+        for record in live:
             for image in record.writes:
                 self._durable_vids.add(image.vid)
-            nbytes += record.nbytes
+            view.apply(record)
+            if not record.acks:
+                continue
             # the client ack: the transaction is durable, so *now* it
             # counts as committed (group-commit latency included)
             self.stats.record_commit(record.type_name, now,
@@ -316,17 +408,69 @@ class DurabilityManager:
                 stat[1] += now - record.first_start
             self.acked_commits += 1
             self.max_acked_seqno = record.seqno
-        view = self.durable_view
-        for record in records:
-            view.apply(record)
-        self.log_records_total += len(records)
+        self.log_records_total += len(merged)
         self.log_bytes_total += nbytes
+        extra_attrs = self._epoch_acked(live, by_shard)
         if scheduler.trace.enabled:
             scheduler.trace.emit(TraceEvent(
                 now, EventKind.EPOCH, -1,
-                attrs={"epoch": epoch, "records": len(records),
-                       "bytes": nbytes, "acks": acks}))
+                attrs={"epoch": epoch, "records": len(merged),
+                       "bytes": nbytes, "acks": acks, **extra_attrs}))
         self._prune_checkpoints()
+
+    def _staged_records(self) -> Iterator[LogRecord]:
+        """Every record not yet committed, in deterministic order:
+        current buffers, in-flight flushes, and flushed epochs awaiting
+        the watermark."""
+        for shard in range(self.n_shards):
+            yield from self._shard_buffers[shard]
+            inflight = self._shard_inflight[shard]
+            for epoch in sorted(inflight):
+                yield from inflight[epoch]
+        for epoch in sorted(self._awaiting):
+            by_shard = self._awaiting[epoch]
+            for shard in sorted(by_shard):
+                yield from by_shard[shard]
+
+    def _truncate_shard(self, shard: int) -> List[LogRecord]:
+        """One shard's log device dies: drop (and return) its open buffer
+        and its in-flight flushes, leaving the shard at its own persistent
+        epoch with a free device; scheduled completions go stale."""
+        self._shard_generation[shard] += 1
+        lost = self._shard_buffers[shard]
+        self._shard_buffers[shard] = []
+        inflight = self._shard_inflight[shard]
+        for epoch in sorted(inflight):
+            lost.extend(inflight[epoch])
+        inflight.clear()
+        self._shard_flush_free[shard] = 0.0
+        return lost
+
+    # ------------------------------------------------------------------ #
+    # what the 2PC layer (repro.cluster.durability) adds; idle on one node
+
+    def _epoch_acked(self, records: List[LogRecord], by_shard) -> dict:
+        """``records`` (the epoch's non-voided records, seqno order) were
+        just committed.  Returns extra EPOCH trace attrs."""
+        return {}
+
+    def _before_truncation(self) -> None:
+        """A whole-node crash is about to truncate every shard: drop the
+        partial-failure state it supersedes."""
+
+    def _replayable(self) -> Tuple[Iterable[LogRecord], dict]:
+        """The durable records recovery may replay, in seqno order, and
+        extra NODE_CRASH trace attrs."""
+        return self.durable_log, {}
+
+    def _on_recovered(self, new_db: Database, now: float,
+                      charged_until: float) -> None:
+        """``new_db`` is about to go live and every worker has been
+        charged recovery downtime over ``[now, charged_until)``."""
+
+    def metrics_rows(self) -> list:
+        """Extra (name, value) gauges for the metrics file."""
+        return []
 
     # ------------------------------------------------------------------ #
     # checkpoints
@@ -368,26 +512,27 @@ class DurabilityManager:
     # whole-node crash and recovery
 
     def node_crash(self) -> RecoveryReport:
-        """Crash the whole node at the current simulated time, truncate the
-        log to the persistent epoch, recover, and restart every worker
-        after the recovery downtime.  Called by the fault injector's
-        scripted ``node_crash`` event."""
+        """Crash the whole node — every shard at once — at the current
+        simulated time: truncate every shard, drop what awaited the
+        watermark, recover from checkpoint + replay, and restart every
+        worker after the recovery downtime.  Called by the fault
+        injector's scripted ``node_crash`` event."""
         scheduler = self.scheduler
         now = scheduler.now
         self.crash_count += 1
         self._crash_generation += 1
-        # -- truncate: unflushed buffers and in-flight flushes are gone -- #
-        lost_records: List[LogRecord] = []
-        for worker_id in sorted(self._buffers):
-            lost_records.extend(self._buffers[worker_id])
-        for epoch in sorted(self._inflight):
-            lost_records.extend(self._inflight[epoch])
-        self._buffers.clear()
-        self._inflight.clear()
+        self._before_truncation()
+        # -- truncate every shard to the watermark ----------------------- #
+        # Epochs flushed on only some shards (_awaiting) are discarded too:
+        # an epoch is committed only when durable everywhere, which is what
+        # keeps cross-shard commits atomic under failure.
+        lost_records: List[LogRecord] = list(self._staged_records())
+        for shard in range(self.n_shards):
+            self._truncate_shard(shard)
+        self._awaiting.clear()
         self._pending_cost.clear()
-        self._flush_free_at = 0.0
         lost_unflushed = len(lost_records)
-        self.lost_txn_ids.update(r.txn_id for r in lost_records)
+        self.lost_txn_ids.update(lost_txns(lost_records))
         self.lost_unflushed_total += lost_unflushed
         # -- kill every worker (aborts in-flight work, refunds pre-charged
         #    sleep spans so the time-accounting identity survives) ------- #
@@ -396,14 +541,16 @@ class DurabilityManager:
         if scheduler.faults is not None:
             scheduler.faults.on_node_crash()
         # -- recover: checkpoint + log replay in commit (seqno) order ---- #
+        replayable, crash_attrs = self._replayable()
         durable_seqno = self._durable_seqno()
         checkpoint = self._usable_checkpoint()
-        allocator_seq = self.db.allocator._next_seq
-        new_db = Database.from_snapshot(checkpoint.snapshot,
-                                        allocator_seq=allocator_seq)
+        new_db = Database.from_snapshot(
+            checkpoint.snapshot, allocator_seq=self.db.allocator._next_seq)
+        void = self._void_txns
         replayed = 0
-        for record in self.durable_log:
-            if record.seqno > checkpoint.last_seqno:
+        for record in replayable:
+            if record.seqno > checkpoint.last_seqno \
+                    and record.txn_id not in void:
                 apply_record(new_db, record)
                 replayed += 1
         recovered_snapshot = new_db.snapshot()
@@ -419,58 +566,49 @@ class DurabilityManager:
                           + self.dc.replay_per_record * replayed)
         self.recovery_ticks_total += recovery_ticks
         restart = now + recovery_ticks
-        self.db = new_db
-        self.workload.db = new_db
-        self.cc.on_node_recovery(new_db)
+        n_workers = self.config.n_workers
         charged_until = min(restart, self.config.duration)
         if scheduler.accountant is not None and charged_until > now:
-            for worker_id in range(self.config.n_workers):
+            for worker_id in range(n_workers):
                 scheduler.accountant.on_wait(worker_id, "recovery",
                                              charged_until - now)
-        timeline = getattr(scheduler, "timeline", None)
-        if timeline is not None:
-            timeline.on_recovery(now, charged_until, self.config.n_workers)
+        self.db = new_db
+        self.workload.db = new_db
+        self._on_recovered(new_db, now, charged_until)
+        self.cc.on_node_recovery(new_db)
+        if scheduler.timeline is not None:
+            scheduler.timeline.on_recovery(now, charged_until, n_workers)
         if scheduler.trace.enabled:
             scheduler.trace.emit(TraceEvent(
                 now, EventKind.NODE_CRASH, -1,
                 attrs={"persistent_epoch": self.persistent_epoch,
                        "durable_seqno": durable_seqno,
                        "lost_inflight": lost_inflight,
-                       "lost_unflushed": lost_unflushed}))
+                       "lost_unflushed": lost_unflushed, **crash_attrs}))
             scheduler.trace.emit(TraceEvent(
                 now, EventKind.RECOVERY, -1,
                 attrs={"checkpoint_seqno": checkpoint.last_seqno,
                        "replayed": replayed,
                        "recovery_ticks": recovery_ticks,
                        "restart": restart}))
-        new_workers = [
-            self._worker_factory(
-                worker_id,
-                spawn_rng(self.config.seed, worker_id,
-                          RESTART_RNG_SALT + self.crash_count))
-            for worker_id in range(self.config.n_workers)
-        ]
-        scheduler.replace_workers(new_workers, restart)
+        scheduler.replace_workers(
+            self._spawn_workers(range(n_workers),
+                                RESTART_RNG_SALT + self.crash_count),
+            restart)
         # a fresh watchdog window: downtime is not a livelock
         scheduler.last_commit_time = max(scheduler.last_commit_time, restart)
-        # -- restart the epoch/checkpoint clocks ------------------------- #
+        # -- restart the clocks at the watermark ------------------------- #
         # lost epochs' numbers are reused: the durable log only contains
         # epochs <= persistent_epoch, so numbering stays nondecreasing
         self.current_epoch = self.persistent_epoch + 1
-        generation = self._crash_generation
-        scheduler.schedule_callback(
-            restart + self.dc.epoch_length,
-            lambda: self._on_epoch_boundary(generation))
+        self._shard_persistent = [self.persistent_epoch] * self.n_shards
         # the recovered state is durable by construction: checkpoint it so
         # a later crash need not replay this prefix again
         self.checkpoints.append(Checkpoint(restart, durable_seqno,
                                            recovered_snapshot))
         self.checkpoints_taken += 1
         self._prune_checkpoints()
-        if self.dc.checkpoint_interval > 0:
-            scheduler.schedule_callback(
-                restart + self.dc.checkpoint_interval,
-                lambda: self._on_checkpoint(generation))
+        self._start_clocks(restart)
         report = RecoveryReport(
             now, restart, self.persistent_epoch, durable_seqno,
             checkpoint.last_seqno, replayed, lost_inflight, lost_unflushed,
@@ -490,11 +628,12 @@ class DurabilityManager:
 
     @property
     def unflushed_records(self) -> int:
-        """Committed records not yet durable (buffers + in-flight flush)."""
-        return (sum(len(buf) for buf in self._buffers.values())
-                + sum(len(records) for records in self._inflight.values()))
+        """Logged records not yet committed: current buffers, in-flight
+        flushes, and flushed epochs awaiting the watermark."""
+        return sum(1 for _ in self._staged_records())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"DurabilityManager(epoch={self.current_epoch}, "
+        return (f"{type(self).__name__}(shards={self.n_shards}, "
+                f"epoch={self.current_epoch}, "
                 f"persistent={self.persistent_epoch}, seqno={self.seqno}, "
                 f"crashes={self.crash_count})")

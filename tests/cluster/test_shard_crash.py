@@ -171,7 +171,7 @@ def test_same_seed_same_crash_same_numbers():
     assert run_once() == run_once()
 
 
-def test_log_commit_refuseses_a_down_shard():
+def test_log_commit_refuses_a_down_shard():
     """Model oracle: the commit path must never log to a down shard —
     degraded admission and the remote-access abort are supposed to
     make that unreachable, so reaching it is a loud error."""

@@ -12,20 +12,29 @@ structured trace, and a SHA-256 over the metrics snapshot.
 ``data/fixtures.json``; ``test_bit_identity.py`` re-runs the matrix and
 compares byte-for-byte.  Any divergence means an optimisation changed
 observable behaviour.
+
+The ``CRASH_CELLS`` pin what the 13 original cells never reach: node and
+shard crashes, recovery, and the 2-shard 2PC log.  Their digests add
+SHA-256s over the durable log, every per-shard log and every recovered
+snapshot, plus the crash reports' scalar slots — all hashed from a
+canonical ``repr`` of sorted items (never a pickle), so one fixture holds
+on every Python version the tier-1 job runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
 from typing import Optional
 
 from repro.bench.runner import run_named
-from repro.config import DurabilityConfig, FrontendConfig, SimConfig
+from repro.config import (ClusterConfig, DurabilityConfig, FrontendConfig,
+                          SimConfig)
 from repro.core.ops import UpdateOp
 from repro.core.protocol import TxnInvocation
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, ScriptedFault
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import MemorySink
 
@@ -60,9 +69,45 @@ class OrderedCounterWorkload(CounterWorkload):
                              program)
 
 
+#: cluster cells spread more keys over the two shards, so single-shard
+#: and cross-shard (2PC) commits both occur
+CLUSTER_KEYS = 16
+CLUSTER_ACCESSES = 2
+
+_NODE_CRASH = ScriptedFault(time=9_100.0, kind="node_crash")
+
+#: name -> (protocol, shards, open loop?, durability overrides, scripted
+#: faults).  9100 is mid-epoch with the previous epoch's flush still in
+#: flight (and, on the cluster, decision messages on the wire).  The last
+#: cell's log device is slower than the epoch, so a rejoined shard (fresh
+#: device) runs ahead of the survivor: the second shard crash kills a
+#: coordinator whose participant's prepares are already flushed (blocked in
+#: doubt, presumed abort at rejoin) and the whole-cluster crash finds an
+#: epoch flushed on one shard only, plus voided residue to skip on replay.
+CRASH_CELLS = {
+    "silo-durable-node_crash": ("silo", None, False, {}, [_NODE_CRASH]),
+    "polyjuice-durable-node_crash":
+        ("polyjuice", None, False, {}, [_NODE_CRASH]),
+    "silo-cluster2-durable": ("silo", 2, False, {}, []),
+    "silo-cluster2-node_crash": ("silo", 2, False, {}, [_NODE_CRASH]),
+    "silo-cluster2-shard_crash": ("silo", 2, False, {}, [
+        ScriptedFault(time=9_100.0, kind="shard_crash", worker=1,
+                      downtime=1_500.0)]),
+    "polyjuice-cluster2-open_loop-durable": ("polyjuice", 2, True, {}, []),
+    "silo-cluster2-shard_then_node_crash": (
+        "silo", 2, False, dict(epoch_length=500.0, log_flush=520.0), [
+            ScriptedFault(time=5_100.0, kind="shard_crash", worker=1,
+                          downtime=500.0),
+            ScriptedFault(time=9_300.0, kind="shard_crash", worker=0,
+                          downtime=500.0),
+            ScriptedFault(time=12_650.0, kind="node_crash")]),
+}
+
+
 def cell_names():
     names = [f"{cc}-{mode}" for cc in PROTOCOLS for mode in MODES]
     names.append("polyjuice-faults")
+    names.extend(CRASH_CELLS)
     return names
 
 
@@ -78,33 +123,74 @@ def _config(mode: str) -> SimConfig:
     return SimConfig(**kwargs)
 
 
-def _policy_for(cc_name: str):
+def _policy_for(cc_name: str, n_accesses: int = N_ACCESSES):
     if cc_name != "polyjuice":
         return None
     from repro.cc.seeds import occ_policy
-    return occ_policy(counter_spec(N_ACCESSES))
+    return occ_policy(counter_spec(n_accesses))
+
+
+def _crash_cell_setup(name: str):
+    """(protocol, config, n_keys, n_accesses, fault plan) of a crash cell."""
+    cc_name, shards, open_loop, overrides, events = CRASH_CELLS[name]
+    durability = dict(checkpoint_interval=3_000.0)
+    durability.update(overrides)
+    config = dataclasses.replace(
+        _config("open_loop" if open_loop else "closed"),
+        durability=DurabilityConfig(**durability),
+        cluster=None if shards is None else ClusterConfig(
+            n_shards=shards, cross_shard_ratio=0.5))
+    n_keys, n_accesses = ((N_KEYS, N_ACCESSES) if shards is None
+                          else (CLUSTER_KEYS, CLUSTER_ACCESSES))
+    plan = FaultPlan(events=list(events)) if events else None
+    return cc_name, config, n_keys, n_accesses, plan
+
+
+def _crash_digest(manager, clustered: bool) -> dict:
+    """What a crash cell pins beyond summary / trace / metrics."""
+    digest = {
+        "durable_log_sha": _log_sha(manager.durable_log),
+        "recoveries": [
+            [_snapshot_sha(getattr(report, slot))
+             if slot == "recovered_snapshot" else getattr(report, slot)
+             for slot in type(report).__slots__]
+            for report in manager.recoveries],
+    }
+    if clustered:
+        digest["shard_logs_sha"] = [_log_sha(log)
+                                    for log in manager.shard_logs]
+        digest["shard_crashes"] = [
+            [getattr(report, slot) for slot in type(report).__slots__]
+            for report in manager.shard_crashes]
+    return digest
 
 
 def run_cell(name: str, obs: bool = True):
     """Run one matrix cell; returns (digest dict, ExperimentResult)."""
-    if name == "polyjuice-faults":
-        cc_name, mode = "polyjuice", "closed"
+    n_keys, n_accesses, fault_plan = N_KEYS, N_ACCESSES, None
+    if name in CRASH_CELLS:
+        cc_name, config, n_keys, n_accesses, fault_plan = \
+            _crash_cell_setup(name)
+    elif name == "polyjuice-faults":
+        cc_name, config = "polyjuice", _config("closed")
         fault_plan = FaultPlan(rates={"stall": 0.01, "abort": 0.005,
                                       "doom": 0.005})
     else:
         cc_name, mode = name.rsplit("-", 1)
-        fault_plan = None
-    config = _config(mode)
+        config = _config(mode)
     sink = MemorySink() if obs else None
     metrics = MetricsRegistry() if obs else None
     result = run_named(
-        lambda: OrderedCounterWorkload(n_keys=N_KEYS, n_accesses=N_ACCESSES),
-        cc_name, config, policy=_policy_for(cc_name), trace_sink=sink,
-        metrics=metrics, fault_plan=fault_plan)
+        lambda: OrderedCounterWorkload(n_keys=n_keys, n_accesses=n_accesses),
+        cc_name, config, policy=_policy_for(cc_name, n_accesses),
+        trace_sink=sink, metrics=metrics, fault_plan=fault_plan)
     digest = {"summary": result.stats.summary()}
     if obs:
         digest["trace_sha"] = _trace_sha(sink)
         digest["metrics_sha"] = _metrics_sha(metrics)
+    if name in CRASH_CELLS:
+        digest.update(_crash_digest(result.durability,
+                                    config.cluster is not None))
     return digest, result
 
 
@@ -117,6 +203,22 @@ def _trace_sha(sink: MemorySink) -> str:
 def _metrics_sha(metrics: MetricsRegistry) -> str:
     payload = json.dumps(metrics.snapshot(), sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()
+
+
+def _repr_sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _log_sha(records) -> str:
+    return _repr_sha([record.digest() + (type(record).__name__,)
+                      for record in records])
+
+
+def _snapshot_sha(snapshot) -> str:
+    return _repr_sha([
+        (table, [(key, vid, sorted(value.items()))
+                 for key, (vid, value) in sorted(rows.items())])
+        for table, rows in sorted(snapshot.items())])
 
 
 def canonical(digest: dict) -> str:
