@@ -11,7 +11,7 @@ import dataclasses
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..cluster import (ClusterCC, ClusterDurability, ClusterRuntime,
-                       ShardedFrontend, partitioner_for)
+                       partitioner_for)
 from ..config import SimConfig
 from ..durability.manager import DurabilityManager
 from ..errors import ConfigError
@@ -70,7 +70,7 @@ class ExperimentResult:
 
 
 def run_protocol(workload_factory: WorkloadFactory, cc, config: SimConfig,
-                 recorder=None, timeline_bucket: Optional[float] = None,
+                 recorder=None,
                  callbacks: Sequence[Tuple[float, Callable]] = (),
                  check_invariants: bool = True,
                  trace_sink: Optional[TraceSink] = None,
@@ -93,9 +93,8 @@ def run_protocol(workload_factory: WorkloadFactory, cc, config: SimConfig,
     """
     if getattr(cc, "requires_probe", False):
         return _run_probed(workload_factory, cc, config, recorder,
-                           timeline_bucket, check_invariants,
-                           trace_sink, accountant, metrics, fault_plan,
-                           timeline)
+                           check_invariants, trace_sink, accountant, metrics,
+                           fault_plan, timeline)
     workload = workload_factory()
     db = workload.build_database()
     runtime = None
@@ -111,8 +110,7 @@ def run_protocol(workload_factory: WorkloadFactory, cc, config: SimConfig,
     if recorder is not None:
         cc.recorder = recorder
     stats = RunStats(workload.type_names(), warmup_end=config.warmup,
-                     collect_latency=config.collect_latency,
-                     timeline_bucket=timeline_bucket)
+                     collect_latency=config.collect_latency)
     injector = None
     if fault_plan is not None:
         injector = FaultInjector(fault_plan,
@@ -136,15 +134,10 @@ def run_protocol(workload_factory: WorkloadFactory, cc, config: SimConfig,
         scheduler.durability = manager
     frontend = None
     if config.frontend is not None:
-        if runtime is not None:
-            frontend = ShardedFrontend(
-                config, workload, stats,
-                backoff_policy=getattr(cc, "backoff_policy", None),
-                runtime=runtime)
-        else:
-            frontend = Frontend(config, workload, stats,
-                                backoff_policy=getattr(cc, "backoff_policy",
-                                                       None))
+        frontend = Frontend(
+            config, workload, stats,
+            backoff_policy=getattr(cc, "backoff_policy", None),
+            runtime=runtime)
     for worker_id in range(config.n_workers):
         worker = Worker(worker_id, scheduler, cc, workload, stats, config,
                         spawn_rng(config.seed, worker_id))
@@ -288,10 +281,9 @@ def _record_run_metrics(metrics: MetricsRegistry, cc_name: str,
 
 
 def _run_probed(workload_factory: WorkloadFactory, descriptor,
-                config: SimConfig, recorder, timeline_bucket,
-                check_invariants: bool, trace_sink=None, accountant=None,
-                metrics=None, fault_plan=None,
-                timeline=None) -> ExperimentResult:
+                config: SimConfig, recorder, check_invariants: bool,
+                trace_sink=None, accountant=None, metrics=None,
+                fault_plan=None, timeline=None) -> ExperimentResult:
     """CormCC-style probe-and-pick: short probe per candidate, full run of
     the winner.  Observability attaches to the winner's run only — probes
     are throwaway measurements."""
@@ -310,7 +302,7 @@ def _run_probed(workload_factory: WorkloadFactory, descriptor,
             best_factory = factory
     winner = best_factory()
     result = run_protocol(workload_factory, winner, config, recorder,
-                          timeline_bucket, check_invariants=check_invariants,
+                          check_invariants=check_invariants,
                           trace_sink=trace_sink, accountant=accountant,
                           metrics=metrics, fault_plan=fault_plan,
                           timeline=timeline)

@@ -5,16 +5,19 @@ pins workers to home shards, charges remote record accesses as network
 round trips, and commits cross-shard transactions with two-phase commit
 over per-shard epoch WALs (presumed abort; see
 :mod:`repro.cluster.durability` — the 2PC layer on top of the durability
-core, which runs the per-shard logs themselves).  ``config.cluster is
-None`` disables the whole layer: no runtime, no 2PC layer, and the
-durability core with its single-node shard count of one.
+core, which runs the per-shard logs themselves).  Admission is not
+here: the one :class:`~repro.frontend.Frontend` keeps a queue per shard
+and reads the shard count, worker pinning and shard-down flags off the
+runtime it is handed.  ``config.cluster is None`` disables the whole
+layer: no runtime, no 2PC layer, and the durability core and the
+frontend with their single-node shard count of one.
 """
 
+from ..frontend import Frontend
 from .cc import ClusterCC
 from .durability import (ClusterDurability, DecisionMarker, DecisionRecord,
                          PrepareRecord, SHARD_RESTART_RNG_SALT,
                          ShardCrashReport)
-from .frontend import ShardedFrontend, ShardView
 from .network import NET_RNG_SALT, Network
 from .partition import (HashPartitioner, ModuloPartitioner, Partitioner,
                         RangePartitioner)
@@ -23,6 +26,12 @@ from .workloads import (ClusterMicro, ClusterTPCC, ClusterTPCE,
                         TPCEPartitioner, make_cluster_micro_factory,
                         make_cluster_tpcc_factory, make_cluster_tpce_factory,
                         partitioner_for)
+
+
+class ShardedFrontend(Frontend):
+    # never instantiated: only benchmarks/harness/child.py's import needs it
+    pass
+
 
 __all__ = [
     "ClusterCC",
@@ -42,7 +51,6 @@ __all__ = [
     "RangePartitioner",
     "SHARD_RESTART_RNG_SALT",
     "ShardCrashReport",
-    "ShardView",
     "ShardedFrontend",
     "ShardedTable",
     "TPCEPartitioner",

@@ -355,12 +355,6 @@ class SimConfig:
             ``"abort_oldest"`` sacrifices the oldest blocked transaction
             (the run continues), ``"raise"`` raises
             :class:`~repro.errors.LivelockError`.
-        wait_wakeups: how the scheduler re-checks parked wait conditions.
-            ``"event"`` (default) wakes only workers subscribed on the
-            state that actually changed (dependency contexts, lock keys);
-            ``"poll"`` re-evaluates every parked condition after every
-            worker advance (the legacy O(parked) hot path, kept as the
-            bit-identical reference implementation).
         durability: epoch-based group-commit durability parameters
             (:class:`DurabilityConfig`).  ``None`` (the default) disables
             durability entirely — no epochs, no log costs, no deferred
@@ -385,7 +379,6 @@ class SimConfig:
     max_retries: Optional[int] = None
     watchdog_window: Optional[float] = None
     watchdog_action: str = "abort_oldest"
-    wait_wakeups: str = "event"
     durability: Optional[DurabilityConfig] = None
     frontend: Optional[FrontendConfig] = None
     cluster: Optional[ClusterConfig] = None
@@ -407,10 +400,6 @@ class SimConfig:
             raise ConfigError(
                 f"unknown watchdog_action: {self.watchdog_action!r} "
                 "(expected 'abort_oldest' or 'raise')")
-        if self.wait_wakeups not in ("event", "poll"):
-            raise ConfigError(
-                f"unknown wait_wakeups mode: {self.wait_wakeups!r} "
-                "(expected 'event' or 'poll')")
         if self.cluster is not None:
             if self.n_workers % self.cluster.n_shards != 0:
                 raise ConfigError(

@@ -4,11 +4,13 @@ The paper's evaluation (§7.1) is closed-loop — each worker retries its
 transaction until it commits, so offered load always equals capacity.  This
 package models the client side instead: a seeded Poisson arrival process
 (:class:`Frontend`) enqueues timestamped invocations onto a bounded
-:class:`AdmissionQueue` from which workers pull.  When offered load exceeds
-capacity the system degrades gracefully — arrivals are shed by a pluggable
-policy, admitted transactions carry deadlines and bounded retry budgets,
-and the run reports goodput (commits within deadline) and SLO attainment
-rather than raw throughput.
+:class:`AdmissionQueue` per shard — exactly one on a single node — from
+which that shard's workers pull.  There is one frontend class for every
+topology; a cluster run hands it the cluster runtime.  When offered load
+exceeds capacity the system degrades gracefully — arrivals are shed by a
+pluggable policy, admitted transactions carry deadlines and bounded retry
+budgets, and the run reports goodput (commits within deadline) and SLO
+attainment rather than raw throughput.
 
 Everything is deterministic per seed: arrivals draw from a dedicated RNG
 stream (:data:`ARRIVAL_RNG_SALT`), burst windows are scripted, and the

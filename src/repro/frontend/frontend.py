@@ -1,15 +1,25 @@
 """The open-loop frontend: Poisson arrivals, bursts, and the overload oracle.
 
 One :class:`Frontend` per run.  It owns the arrival process (a dedicated
-RNG stream seeded from the run seed and :data:`ARRIVAL_RNG_SALT`), the
-bounded :class:`~repro.frontend.admission.AdmissionQueue`, and the run's
-admission accounting.  Workers in open-loop mode pull invocations via
-:meth:`Frontend.next_item` and report every outcome back via
+RNG stream seeded from the run seed and :data:`ARRIVAL_RNG_SALT`), one
+bounded :class:`~repro.frontend.admission.AdmissionQueue` per shard — a
+single-node run is the 1-shard case — and the run's admission accounting.
+Each arrival is routed to its client's **home shard** queue: cluster
+workload adapters draw a client's transactions from that client's
+shard-local id ranges (``client * n_shards // n_clients`` — the same
+contiguous-block formula that pins workers to shards).  Workers in
+open-loop mode pull invocations from their own shard's queue through its
+:class:`ShardView` and report every outcome back via
 :meth:`Frontend.note_done`, so the frontend can verify conservation at the
 end of the run: every arrival is admitted or shed, every admitted
 invocation is dequeued, evicted, expired or still queued, and every
 dequeued invocation commits, is permanently rejected, or was abandoned at
 teardown.  Nothing is lost and nothing is double-counted.
+
+The conservation ledger is **global** — arrivals, admissions, sheds,
+dequeues and outcomes are counted across shards, so the overload oracle's
+invariants are the same at any shard count — while ``queue_cap`` bounds
+each shard's queue individually (N shards have N slot pools, not one).
 
 Arrival scheduling is lazy: each arrival draws the gap to the next one
 from the rate in force *now*, so scripted bursts (from
@@ -35,14 +45,40 @@ from .admission import (AdmissionQueue, QueuedInvocation,
 ARRIVAL_RNG_SALT = 0x41525256  # "ARRV"
 
 
+class ShardView:
+    """One shard's queue as its workers see it: wait predicate, dequeue,
+    and the wake key idle workers park on — so an arrival wakes only
+    workers of the shard it landed on."""
+
+    __slots__ = ("fe", "shard", "queue")
+
+    def __init__(self, fe: "Frontend", shard: int) -> None:
+        self.fe = fe
+        self.shard = shard
+        self.queue = fe.queues[shard]
+
+    def has_work(self) -> bool:
+        """Wait predicate for idle workers (see ``WaitKind.ARRIVAL``)."""
+        return self.queue.has_work()
+
+    def next_item(self) -> Optional[QueuedInvocation]:
+        return self.fe.next_item(self.shard)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"ShardView({self.shard})"
+
+
 class Frontend:
-    """Seeded open-loop arrival process plus admission accounting."""
+    """Seeded open-loop arrival process, per-shard admission queues and
+    the global admission ledger."""
 
     def __init__(self, config: SimConfig, workload, stats,
-                 backoff_policy=None) -> None:
+                 backoff_policy=None, runtime=None) -> None:
         """``backoff_policy`` (a :class:`~repro.core.backoff.BackoffPolicy`)
         may carry deployment bounds: its ``cap`` tightens the retry cap and
-        its ``jitter`` overrides the configured jitter fraction."""
+        its ``jitter`` overrides the configured jitter fraction.
+        ``runtime`` (the run's :class:`~repro.cluster.ClusterRuntime`)
+        makes the frontend shard-aware; without it there is one shard."""
         fc = config.frontend
         if fc is None:
             raise ValueError("Frontend requires config.frontend to be set")
@@ -50,9 +86,14 @@ class Frontend:
         self.fc = fc
         self.workload = workload
         self.stats = stats
+        self.runtime = runtime
         self.rng = spawn_rng(config.seed, ARRIVAL_RNG_SALT)
-        self.queue = AdmissionQueue(fc.queue_cap, fc.shed_policy,
-                                    dict(fc.priorities))
+        self.n_shards = 1 if runtime is None else runtime.n_shards
+        self.queues = [AdmissionQueue(fc.queue_cap, fc.shed_policy,
+                                      dict(fc.priorities))
+                       for _ in range(self.n_shards)]
+        self._views = [ShardView(self, shard)
+                       for shard in range(self.n_shards)]
         self.scheduler = None
         self.n_clients = fc.n_clients or config.n_workers
         self._retry_initial = (fc.retry_initial
@@ -97,22 +138,23 @@ class Frontend:
         self.stats.open_loop = True
         self._schedule_next_arrival()
 
-    def has_work(self) -> bool:
-        """Wait predicate for idle workers (see ``WaitKind.ARRIVAL``)."""
-        return self.queue.has_work()
-
-    def view_for(self, worker_id: int) -> "Frontend":
-        """The queue handle worker ``worker_id`` should pull from and
-        park on.  The single-node frontend is its own (only) view; the
-        cluster's :class:`~repro.cluster.frontend.ShardedFrontend`
-        returns the worker's home-shard view."""
-        return self
+    def view_for(self, worker_id: int) -> ShardView:
+        """The queue handle worker ``worker_id`` pulls from and parks on:
+        its home shard's view."""
+        if self.runtime is None:
+            return self._views[0]
+        return self._views[self.runtime.shard_of_worker(worker_id)]
 
     def idle(self) -> bool:
         """True when there is nothing the workers could be committing:
-        the queue is empty and no dequeued invocation is in flight.  The
+        every queue is empty and no dequeued invocation is in flight.  The
         progress watchdog treats this as starvation, not livelock."""
-        return self.inflight == 0 and not self.queue.has_work()
+        return self.inflight == 0 and not any(
+            queue.has_work() for queue in self.queues)
+
+    def _depth(self) -> int:
+        """Entries queued right now, over all shards."""
+        return sum(map(len, self.queues))
 
     # ------------------------------------------------------------------ #
     # arrival process
@@ -141,14 +183,25 @@ class Frontend:
         scheduler = self.scheduler
         now = scheduler.now
         self.arrivals += 1
-        invocation = self.workload.next_invocation(
-            self.rng, (self.arrivals - 1) % self.n_clients)
+        client = (self.arrivals - 1) % self.n_clients
+        invocation = self.workload.next_invocation(self.rng, client)
         if invocation is None:
             return  # workload exhausted (replay mode): arrivals stop
+        runtime = self.runtime
+        shard = client * self.n_shards // self.n_clients  # the home shard
+        queue = self.queues[shard]
         deadline = None if self.fc.deadline is None else now + self.fc.deadline
         item = QueuedInvocation(invocation, now, deadline, self.arrivals,
-                                self.queue.priority_of(invocation.type_name))
-        admitted, evicted, reason = self.queue.offer(item)
+                                queue.priority_of(invocation.type_name))
+        if runtime is not None and runtime.any_down \
+                and runtime.shard_down[shard]:
+            # degraded mode: the home shard is down, so no worker could
+            # ever serve this arrival — shed at admission instead of
+            # letting it rot in the queue (the RNG draw above already
+            # happened, so the arrival stream is unperturbed)
+            admitted, evicted, reason = False, (), SHED_SHARD_DOWN
+        else:
+            admitted, evicted, reason = queue.offer(item)
         for victim in evicted:
             self.evicted += 1
             self._record_shed(victim, SHED_EVICTED, now)
@@ -157,45 +210,45 @@ class Frontend:
         else:
             self.rejected_arrivals += 1
             self._record_shed(item, reason, now)
-        depth = len(self.queue)
+        depth = self._depth()
         trace = scheduler.trace
         if trace.enabled:
+            attrs = {"seq": item.seq, "admitted": admitted, "depth": depth}
+            if runtime is not None:
+                attrs["shard"] = shard
             trace.emit(TraceEvent(
                 now, EventKind.ARRIVAL, -1,
-                txn_type=invocation.type_name,
-                attrs={"seq": item.seq, "admitted": admitted,
-                       "depth": depth}))
+                txn_type=invocation.type_name, attrs=attrs))
         timeline = scheduler.timeline
         if timeline is not None:
             timeline.on_queue_depth(now, depth)
         if admitted:
             # the run loop executes callbacks without a condition re-check,
-            # so wake idle workers parked on the (previously empty) queue
-            scheduler.notify_lock(self)
+            # so wake the idle workers parked on this shard's view
+            scheduler.notify_lock(self._views[shard])
             scheduler.wake_parked()
         self._schedule_next_arrival()
 
     # ------------------------------------------------------------------ #
     # worker side
 
-    def next_item(self) -> Optional[QueuedInvocation]:
-        """Dequeue the oldest live invocation (or ``None`` if the queue is
-        empty / holds only expired entries).  Expired entries passed over
-        are counted as ``deadline_queue`` sheds."""
+    def next_item(self, shard: int = 0) -> Optional[QueuedInvocation]:
+        """Dequeue ``shard``'s oldest live invocation (or ``None`` if its
+        queue is empty / holds only expired entries).  Expired entries
+        passed over are counted as ``deadline_queue`` sheds."""
         now = self.scheduler.now
-        item, expired = self.queue.pop_live(now)
+        item, expired = self.queues[shard].pop_live(now)
         for victim in expired:
             self.expired_queue += 1
             self._record_shed(victim, SHED_DEADLINE_QUEUE, now)
-        if expired and self.scheduler.timeline is not None:
-            self.scheduler.timeline.on_queue_depth(now, len(self.queue))
+        timeline = self.scheduler.timeline
+        if (expired or item is not None) and timeline is not None:
+            timeline.on_queue_depth(now, self._depth())
         if item is None:
             return None
         self.dequeued += 1
         self.inflight += 1
         self.stats.record_queue_wait(now - item.arrival_time, now)
-        if self.scheduler.timeline is not None:
-            self.scheduler.timeline.on_queue_depth(now, len(self.queue))
         return item
 
     def retry_pause(self, attempt: int, rng) -> float:
@@ -247,16 +300,18 @@ class Frontend:
         """End-of-run sweep: classify everything still queued.  Entries
         whose deadline has passed are deadline_queue sheds; live ones are
         censored (``queued_at_end``), not shed."""
-        for item in self.queue.drain():
-            if item.expired(now):
-                self.expired_queue += 1
-                self._record_shed(item, SHED_DEADLINE_QUEUE, now)
-            else:
-                self.queued_at_end += 1
+        for queue in self.queues:
+            for item in queue.drain():
+                if item.expired(now):
+                    self.expired_queue += 1
+                    self._record_shed(item, SHED_DEADLINE_QUEUE, now)
+                else:
+                    self.queued_at_end += 1
 
     @property
     def depth_max(self) -> int:
-        return self.queue.depth_max
+        """Deepest any single shard queue got (the cap is per shard)."""
+        return max(queue.depth_max for queue in self.queues)
 
     def shed_total(self) -> int:
         return (self.rejected_arrivals + self.evicted + self.expired_queue

@@ -176,8 +176,8 @@ class MetricsRegistry:
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """Serialise as a versioned envelope: ``{"schema": ...,
-        "version": ..., "metrics": [...]}`` (see :func:`load_metrics_json`;
-        pre-envelope bare-list files are still readable)."""
+        "version": ..., "metrics": [...]}`` (see
+        :func:`load_metrics_json`)."""
         document = {"schema": METRICS_SCHEMA,
                     "version": METRICS_SCHEMA_VERSION,
                     "metrics": self.snapshot()}
@@ -221,16 +221,14 @@ def load_metrics_json(path: str) -> List[dict]:
     """Load a JSON metrics snapshot back into its row list.
 
     Accepts the versioned envelope written by :meth:`MetricsRegistry.\
-write_json` and the pre-envelope bare list; rejects unknown schemas and
-    versions with a clear :class:`ReproError` so a future build's artifact
-    fails loudly instead of being half-parsed."""
+write_json`; rejects anything else, unknown schemas and versions with a
+    clear :class:`ReproError` so a future build's artifact fails loudly
+    instead of being half-parsed."""
     try:
         with open(path) as fh:
             document = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ReproError(f"cannot read metrics {path}: {exc}") from exc
-    if isinstance(document, list):
-        return document  # legacy bare snapshot (pre-versioning)
     if not isinstance(document, dict) or "metrics" not in document:
         raise ReproError(f"{path} is not a {METRICS_SCHEMA} artifact")
     schema = document.get("schema")

@@ -77,8 +77,8 @@ class WaitFor:
             ``wake_keys`` entry), and re-evaluates the predicate when one of
             those is notified via ``Scheduler.notify`` /
             ``Scheduler.notify_lock``.  A wait that declares neither
-            ``dep_ctxs`` nor ``wake_keys`` falls back to the legacy full
-            poll: it is re-evaluated after every worker advance.
+            ``dep_ctxs`` nor ``wake_keys`` cannot be woken; the scheduler
+            refuses to park on it.
         kind: a :class:`WaitKind` value.
         dep_ctxs: the transactions being waited on — used both as the
             scheduler's subscription keys and for wait-for-graph cycle

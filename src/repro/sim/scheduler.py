@@ -5,22 +5,18 @@ events are either worker wake-ups or arbitrary callbacks (used for policy
 switches and wait timeouts).  Workers blocked on a :class:`WaitFor` are held
 in a parked set.
 
-Wake-ups are *event-driven* (subscription-based) by default: when a worker
-parks, it is registered on a wake index keyed by every transaction in the
-wait's ``dep_ctxs`` (plus its own in-flight context, and any extra
-``wake_keys`` such as the record whose commit lock it awaits).  The code
-that mutates shared state — progress advances, version exposure, piece
-validation, commit/abort termination, lock releases — calls
-:meth:`Scheduler.notify` / :meth:`Scheduler.notify_lock`, which flags the
-subscribed workers; at the end of the current worker advance (the only
-point at which shared state can have changed) only the flagged workers
-re-check their condition, in park order, so wake order is identical to the
-legacy polling scheduler's deterministic tie-break.  Waits that declare no
-dependencies and no wake keys fall back to the full poll — their condition
-is re-evaluated after every advance, exactly as before — so semantics
-never regress.  ``SimConfig.wait_wakeups = "poll"`` selects the legacy
-O(parked) polling path wholesale; same-seed runs are bit-identical across
-the two modes.
+Wake-ups are *event-driven* (subscription-based): when a worker parks, it
+is registered on a wake index keyed by every transaction in the wait's
+``dep_ctxs`` (plus its own in-flight context, and any extra ``wake_keys``
+such as the record whose commit lock it awaits).  The code that mutates
+shared state — progress advances, version exposure, piece validation,
+commit/abort termination, lock releases — calls :meth:`Scheduler.notify` /
+:meth:`Scheduler.notify_lock`, which flags the subscribed workers; at the
+end of the current worker advance (the only point at which shared state
+can have changed) only the flagged workers re-check their condition, in
+park order — the deterministic tie-break.  A wait that declares neither
+dependencies nor wake keys could only ever end by timeout, so parking on
+one is a :class:`~repro.errors.SchedulerError`.
 
 Wait-for cycles (mutual dependency deadlocks) are detected when a worker
 parks.  If the new edge closes a cycle through a correctness wait
@@ -112,20 +108,15 @@ class Scheduler:
         self._parked: Dict[Worker, WaitFor] = {}
         self._park_start: Dict[Worker, float] = {}
         #: monotonically increasing park ticket per parked worker; wake-up
-        #: candidates are evaluated in park order, which is exactly the
-        #: polling scheduler's deterministic tie-break
+        #: candidates are evaluated in park order (the deterministic
+        #: tie-break)
         self._park_order: Dict[Worker, int] = {}
         self._park_counter = itertools.count()
-        #: "event" = subscription-based wake-ups, "poll" = legacy full poll
-        self._event_driven = config.wait_wakeups != "poll"
         #: wake index: subscription key (TxnContext / Record / lock key) ->
         #: subscribed parked workers (dict used as an ordered set)
         self._subs: Dict[object, Dict[Worker, None]] = {}
         #: parked worker -> the keys it is subscribed under (for cleanup)
         self._sub_keys: Dict[Worker, List[object]] = {}
-        #: parked workers whose wait declared no deps/wake keys; their
-        #: condition is re-checked after every advance (full-poll fallback)
-        self._poll_parked: Dict[Worker, None] = {}
         #: subscribed workers flagged by notify() since the last flush
         self._dirty: Set[Worker] = set()
         #: exception to throw into a worker at its next advance (used to
@@ -140,7 +131,7 @@ class Scheduler:
         self._sleep_charge: Dict[Worker, Tuple[float, str]] = {}
         self._run_until = 0.0
         #: heap events popped by run() — the simulator-throughput numerator
-        #: reported by benchmarks/bench_sim.py (events/sec)
+        #: (events/sec)
         self.events_processed = 0
         #: statistics of safety-valve firings (exposed for tests/analysis)
         self.cycle_breaks = 0
@@ -338,7 +329,7 @@ class Scheduler:
                     ctx.txn_id if ctx is not None else None,
                     ctx.type_name if ctx is not None else None,
                     attrs))
-            cycle = self._maybe_find_cycle(worker)
+            cycle = self._find_cycle(worker)
             if cycle is not None:
                 self.cycle_breaks += 1
                 if not wait.abort_on_break:
@@ -364,16 +355,15 @@ class Scheduler:
 
     def _park(self, worker: Worker, wait: WaitFor) -> None:
         """Register ``worker`` as parked on ``wait`` and subscribe it on the
-        wait's wake keys (event mode).  A wait that declares neither
-        ``dep_ctxs`` nor ``wake_keys`` joins the full-poll fallback set."""
+        wait's wake keys.  A wait that declares neither ``dep_ctxs`` nor
+        ``wake_keys`` is refused: nothing would ever notify for it."""
+        if not wait.dep_ctxs and not wait.wake_keys:
+            raise SchedulerError(
+                f"{wait.kind} wait declares neither dep_ctxs nor wake_keys: "
+                "nothing could wake it before its timeout")
         self._parked[worker] = wait
         self._park_start[worker] = self.now
         self._park_order[worker] = next(self._park_counter)
-        if not self._event_driven:
-            return
-        if not wait.dep_ctxs and not wait.wake_keys:
-            self._poll_parked[worker] = None
-            return
         ctx = worker.current_ctx
         keys: List[object] = []
         own = () if ctx is None else (ctx,)
@@ -416,32 +406,16 @@ class Scheduler:
         self._notify_parked()
 
     def _notify_parked(self) -> None:
-        """Wake every parked worker whose condition has become true.
-
-        Event mode re-checks only workers flagged dirty by notify() plus
-        the full-poll fallback set, in park order — which is exactly the
-        order the legacy poll visits them, so wake order (and therefore
-        every downstream tie-break) is bit-identical across modes."""
-        if self._event_driven:
-            dirty = self._dirty
-            poll = self._poll_parked
-            if not dirty and not poll:
-                return
-            if dirty:
-                candidates = list(dirty)
-                if poll:
-                    candidates.extend(poll)
-                candidates.sort(key=self._park_order.__getitem__)
-                dirty.clear()
-            else:
-                candidates = list(poll)
-            parked = self._parked
-            ready = [w for w in candidates if parked[w].condition()]
-        else:
-            if not self._parked:
-                return
-            ready = [w for w, wait in self._parked.items()
-                     if wait.condition()]
+        """Wake every parked worker whose condition has become true:
+        re-check only the workers flagged dirty by notify(), in park order
+        (so wake order, and every downstream tie-break, is deterministic)."""
+        dirty = self._dirty
+        if not dirty:
+            return
+        candidates = sorted(dirty, key=self._park_order.__getitem__)
+        dirty.clear()
+        parked = self._parked
+        ready = [w for w in candidates if parked[w].condition()]
         for worker in ready:
             self._unpark(worker)
             self._schedule_worker(worker, self.now)
@@ -450,16 +424,12 @@ class Scheduler:
         wait = self._parked.pop(worker)
         start = self._park_start.pop(worker, self.now)
         del self._park_order[worker]
-        keys = self._sub_keys.pop(worker, None)
-        if keys is not None:
-            for key in keys:
-                subs = self._subs.get(key)
-                if subs is not None:
-                    subs.pop(worker, None)
-                    if not subs:
-                        del self._subs[key]
-        else:
-            self._poll_parked.pop(worker, None)
+        for key in self._sub_keys.pop(worker):
+            subs = self._subs.get(key)
+            if subs is not None:
+                subs.pop(worker, None)
+                if not subs:
+                    del self._subs[key]
         self._dirty.discard(worker)
         waited = self.now - start
         self.wait_time_by_kind[wait.kind] = \
@@ -525,32 +495,22 @@ class Scheduler:
             result.sort(key=_WORKER_ID)
         return result
 
-    def _maybe_find_cycle(self, start: Worker) -> Optional[List[Worker]]:
-        """Cycle check for a freshly parked worker, skipping the DFS when
-        the wait-for graph provably has no edge *into* ``start``.
-
-        A cycle through ``start`` needs some other parked worker waiting on
-        ``start``'s in-flight context.  In event mode every parked worker is
-        subscribed on each of its wait's ``dep_ctxs``, so the subscription
-        index answers "who waits on this context" exactly: if nobody but
-        ``start`` itself is subscribed on ``start.current_ctx``, no incoming
-        edge exists and the DFS would return ``None`` — skip it.  Poll mode
-        keeps the unconditional DFS (the two modes stay bit-identical
-        because the skip only elides provably-negative searches)."""
-        if self._event_driven:
-            ctx = start.current_ctx
-            if ctx is None:
-                return None
-            subs = self._subs.get(ctx)
-            if not subs:
-                return None
-            if len(subs) == 1 and start in subs:
-                return None
-        return self._find_cycle(start)
-
     def _find_cycle(self, start: Worker) -> Optional[List[Worker]]:
         """If parking ``start`` created a wait-for cycle through it, return
-        the cycle's members (path from ``start`` back to ``start``)."""
+        the cycle's members (path from ``start`` back to ``start``).
+
+        A cycle through ``start`` needs some other parked worker waiting on
+        ``start``'s in-flight context.  Every parked worker is subscribed
+        on each of its wait's ``dep_ctxs``, so the subscription index
+        answers "who waits on this context" exactly: if nobody but
+        ``start`` itself is subscribed on ``start.current_ctx``, no
+        incoming edge exists and the DFS is skipped."""
+        ctx = start.current_ctx
+        if ctx is None:
+            return None
+        subs = self._subs.get(ctx)
+        if not subs or (len(subs) == 1 and start in subs):
+            return None
         path: List[Worker] = []
         seen = set()
 

@@ -89,8 +89,7 @@ class RunStats:
     """
 
     def __init__(self, type_names: Sequence[str], warmup_end: float = 0.0,
-                 collect_latency: bool = True,
-                 timeline_bucket: Optional[float] = None) -> None:
+                 collect_latency: bool = True) -> None:
         self.type_names = list(type_names)
         self.warmup_end = warmup_end
         self.collect_latency = collect_latency
@@ -114,9 +113,6 @@ class RunStats:
         self.latency: Dict[str, LatencyDigest] = {
             name: LatencyDigest() for name in self.type_names
         }
-        #: width (ticks) of throughput-timeline buckets (Fig 10); None = off
-        self.timeline_bucket = timeline_bucket
-        self.timeline: Dict[int, int] = {}
         #: optional :class:`repro.obs.timeline.TimelineSampler` — the
         #: run-insight windowed sampler, fed from the same record_* calls
         #: as the counters (but over the whole run, warm-up included, so
@@ -147,9 +143,6 @@ class RunStats:
         """``deadline`` (open-loop runs only) is the invocation's absolute
         deadline; a commit acked after it counts as a late commit — an SLO
         miss, but still a commit (never lost)."""
-        if self.timeline_bucket is not None:
-            bucket = int(now // self.timeline_bucket)
-            self.timeline[bucket] = self.timeline.get(bucket, 0) + 1
         if self.sampler is not None:
             self.sampler.on_commit(now, type_name, latency)
         late = deadline is not None and now > deadline
@@ -271,14 +264,6 @@ class RunStats:
         if total == 0:
             return 1.0
         return self.slo_commits / total
-
-    def timeline_series(self) -> List[float]:
-        """Commits-per-second series over timeline buckets (Fig 10)."""
-        if self.timeline_bucket is None or not self.timeline:
-            return []
-        last = max(self.timeline)
-        scale = TICKS_PER_SECOND / self.timeline_bucket
-        return [self.timeline.get(i, 0) * scale for i in range(last + 1)]
 
     def summary(self) -> Dict[str, object]:
         data: Dict[str, object] = {

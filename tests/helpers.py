@@ -37,6 +37,14 @@ def counter_spec(n_accesses: int = 3) -> WorkloadSpec:
     return WorkloadSpec([TxnTypeSpec("bump", accesses)])
 
 
+#: the open-loop frontend's conservation ledger (see
+#: ``Frontend.check_invariants``), for tests that pin or compare it
+FRONTEND_LEDGER = ("arrivals", "admitted", "rejected_arrivals", "evicted",
+                   "expired_queue", "dequeued", "committed",
+                   "rejected_inflight", "abandoned", "queued_at_end",
+                   "inflight", "depth_max")
+
+
 class CounterWorkload(Workload):
     """Increment ``n_accesses`` distinct counters out of ``n_keys``."""
 

@@ -19,6 +19,12 @@ SHA-256s over the durable log, every per-shard log and every recovered
 snapshot, plus the crash reports' scalar slots — all hashed from a
 canonical ``repr`` of sorted items (never a pickle), so one fixture holds
 on every Python version the tier-1 job runs.
+
+The ``ADMISSION_CELLS`` pin per-shard admission on a 2-shard cluster — the
+paths the four ``*-open_loop`` cells and ``polyjuice-cluster2-open_loop-
+durable`` leave cold: every shed reason under overload, and degraded-mode
+shedding while a shard is down.  Their digests add the frontend's
+conservation ledger and a SHA-256 over the timeline rows.
 """
 
 from __future__ import annotations
@@ -30,15 +36,17 @@ import random
 from typing import Optional
 
 from repro.bench.runner import run_named
+from repro.cluster.workloads import make_cluster_tpcc_factory
 from repro.config import (ClusterConfig, DurabilityConfig, FrontendConfig,
                           SimConfig)
 from repro.core.ops import UpdateOp
 from repro.core.protocol import TxnInvocation
 from repro.faults.plan import FaultPlan, ScriptedFault
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeline import TimelineSampler
 from repro.obs.tracing import MemorySink
 
-from tests.helpers import CounterWorkload, counter_spec
+from tests.helpers import CounterWorkload, FRONTEND_LEDGER, counter_spec
 
 PROTOCOLS = ["silo", "2pl", "ic3", "polyjuice"]
 MODES = ["closed", "open_loop", "durable"]
@@ -104,10 +112,36 @@ CRASH_CELLS = {
 }
 
 
+#: name -> (frontend config, durable?, scripted faults): silo over the
+#: 2-shard TPC-C adapter (2 warehouses, half the transactions cross-shard),
+#: whose three transaction types give the ``priority`` shed policy someone
+#: to evict (payments outrank the rest).  The first offers ~2x what the 8
+#: workers can commit into 12-slot queues with a deadline shorter than a
+#: full queue's wait, so queue_full, evicted, deadline_queue,
+#: deadline_inflight and retry_budget sheds all fire and entries are still
+#: queued at the horizon.  The second is lightly loaded until shard 1
+#: crashes: its arrivals are shed ``shard_down`` at admission, survivors'
+#: remote accesses to it are rejected in flight, and its dequeued
+#: invocations are abandoned.
+ADMISSION_CELLS = {
+    "cluster2-open_loop-overload": (
+        FrontendConfig(arrival_rate=120_000.0, queue_cap=12, deadline=300.0,
+                       retry_budget=1, shed_policy="priority",
+                       priorities=(("payment", 1.0),)),
+        False, []),
+    "cluster2-shard_down-shed": (
+        FrontendConfig(arrival_rate=15_000.0, queue_cap=32, deadline=8_000.0,
+                       retry_budget=5),
+        True, [ScriptedFault(time=9_100.0, kind="shard_crash", worker=1,
+                             downtime=1_500.0)]),
+}
+
+
 def cell_names():
     names = [f"{cc}-{mode}" for cc in PROTOCOLS for mode in MODES]
     names.append("polyjuice-faults")
     names.extend(CRASH_CELLS)
+    names.extend(ADMISSION_CELLS)
     return names
 
 
@@ -165,8 +199,37 @@ def _crash_digest(manager, clustered: bool) -> dict:
     return digest
 
 
+def run_admission_cell(name: str):
+    """Run one ``ADMISSION_CELLS`` entry; returns (digest, result)."""
+    frontend, durable, events = ADMISSION_CELLS[name]
+    config = dataclasses.replace(
+        _config("closed"), frontend=frontend,
+        durability=(DurabilityConfig(checkpoint_interval=3_000.0)
+                    if durable else None),
+        cluster=ClusterConfig(n_shards=2, cross_shard_ratio=0.5))
+    sink, metrics = MemorySink(), MetricsRegistry()
+    timeline = TimelineSampler(window=1_000.0, n_workers=N_WORKERS)
+    result = run_named(
+        make_cluster_tpcc_factory(2, N_WORKERS, cross_shard_ratio=0.5,
+                                  n_warehouses=2, seed=SEED),
+        "silo", config, trace_sink=sink, metrics=metrics, timeline=timeline,
+        fault_plan=FaultPlan(events=list(events)) if events else None)
+    digest = {
+        "summary": result.stats.summary(),
+        "trace_sha": _trace_sha(sink),
+        "metrics_sha": _metrics_sha(metrics),
+        "timeline_sha": _repr_sha([sorted(row.items())
+                                   for row in timeline.rows()]),
+        "frontend": {field: getattr(result.frontend, field)
+                     for field in FRONTEND_LEDGER},
+    }
+    return digest, result
+
+
 def run_cell(name: str, obs: bool = True):
     """Run one matrix cell; returns (digest dict, ExperimentResult)."""
+    if name in ADMISSION_CELLS:
+        return run_admission_cell(name)
     n_keys, n_accesses, fault_plan = N_KEYS, N_ACCESSES, None
     if name in CRASH_CELLS:
         cc_name, config, n_keys, n_accesses, fault_plan = \

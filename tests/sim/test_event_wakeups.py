@@ -1,128 +1,40 @@
-"""Event-driven wait wake-ups: bit-identity vs polling, subscription
-mechanics, cycle-victim wiring, and segmented-run accounting.
+"""Event-driven wait wake-ups: subscription mechanics, cycle-victim
+wiring, and segmented-run accounting.
 
-The subscription scheduler's contract is strict: a run under
-``wait_wakeups="event"`` must be *bit-identical* to the same seed under
-``wait_wakeups="poll"`` — same stats, same traces, same metrics — across
-every in-tree protocol, because only the *mechanism* of re-checking wait
-conditions changed, never the observable wake order.
+What a seeded run does under the subscription scheduler — wake order
+included — is pinned by the ``tests/hotpath`` fixture cells, recorded while
+the legacy full-poll scheduler was still asserted bit-identical to it.
 """
 
-import dataclasses
 import json
 
 import pytest
 
-from repro.bench.runner import run_named
-from repro.cc.seeds import occ_policy
-from repro.config import CostModel, SimConfig
-from repro.core.ops import UpdateOp
-from repro.core.protocol import TxnInvocation
-from repro.errors import AbortReason, TransactionAborted
-from repro.faults.plan import FaultPlan
-from repro.obs.metrics import MetricsRegistry
+from repro.config import SimConfig
+from repro.errors import AbortReason, SchedulerError, TransactionAborted
 from repro.obs.profile import TimeAccountant, check_accounting
-from repro.obs.tracing import MemorySink
 from repro.sim.events import Cost, WaitFor, WaitKind
 
-from tests.helpers import CounterWorkload, counter_spec
+from tests.helpers import CounterWorkload
 from tests.sim.test_scheduler import build
 
 
 #: a contended configuration: 8 workers hammering 4 counters parks often
 CONTENDED = dict(n_keys=4, n_accesses=3)
 
-PROTOCOLS = ["silo", "2pl", "ic3", "polyjuice"]
-
-
-class OrderedCounterWorkload(CounterWorkload):
-    """CounterWorkload with keys accessed in global (sorted) order, so the
-    2PL baseline's ordered-acquisition assumption holds and every protocol
-    makes progress under heavy contention."""
-
-    def make_invocation(self, type_name, rng, worker_id):
-        invocation = super().make_invocation(type_name, rng, worker_id)
-        ops = sorted(invocation.program(), key=lambda op: op.key)
-
-        def program():
-            for access_id, op in enumerate(ops):
-                yield UpdateOp(op.table, op.key, op.update_fn, access_id)
-
-        return TxnInvocation(invocation.type_index, invocation.type_name,
-                             program)
-
-
-def _run(cc_name: str, mode: str, seed: int,
-         fault_plan=None, duration: float = 20_000.0):
-    config = SimConfig(n_workers=8, duration=duration, warmup=2_000.0,
-                       seed=seed, wait_wakeups=mode)
-    sink = MemorySink()
-    metrics = MetricsRegistry()
-    accountant = TimeAccountant(config.n_workers, config.duration)
-    policy = occ_policy(counter_spec(3)) if cc_name == "polyjuice" else None
-    result = run_named(lambda: OrderedCounterWorkload(**CONTENDED), cc_name,
-                       config, policy=policy, trace_sink=sink,
-                       metrics=metrics, accountant=accountant,
-                       fault_plan=fault_plan)
-    return result, sink, metrics, accountant
-
-
-class TestBitIdentity:
-    @pytest.mark.parametrize("cc_name", PROTOCOLS)
-    @pytest.mark.parametrize("seed", [3, 17])
-    def test_event_matches_poll(self, cc_name, seed):
-        ev_result, ev_sink, ev_metrics, ev_acct = _run(cc_name, "event", seed)
-        po_result, po_sink, po_metrics, po_acct = _run(cc_name, "poll", seed)
-        # byte-identical summaries
-        assert json.dumps(ev_result.stats.summary(), sort_keys=True) == \
-            json.dumps(po_result.stats.summary(), sort_keys=True)
-        # identical traces, event by event
-        assert len(ev_sink.events) == len(po_sink.events)
-        assert ev_sink.events == po_sink.events
-        # identical run metrics (waits, cycle breaks, backoff, latency)
-        assert ev_metrics.snapshot() == po_metrics.snapshot()
-        # identical time decomposition, and the books balance in both
-        assert ev_acct.breakdown() == po_acct.breakdown()
-        assert check_accounting(ev_acct) is None
-        assert ev_result.invariant_violations == []
-        # the run did exercise the parked path at all
-        assert ev_result.stats.total_commits > 0
-
-    def test_event_matches_poll_under_faults(self):
-        plan = FaultPlan(rates={"stall": 0.01, "abort": 0.005,
-                                "doom": 0.005})
-        ev_result, ev_sink, _, ev_acct = _run("polyjuice", "event", 5,
-                                              fault_plan=plan)
-        po_result, po_sink, _, po_acct = _run("polyjuice", "poll", 5,
-                                              fault_plan=plan)
-        assert ev_sink.events == po_sink.events
-        assert json.dumps(ev_result.stats.summary(), sort_keys=True) == \
-            json.dumps(po_result.stats.summary(), sort_keys=True)
-        assert ev_acct.breakdown() == po_acct.breakdown()
-        assert check_accounting(ev_acct) is None
-        assert ev_result.fault_counts == po_result.fault_counts
-
 
 class TestSubscriptions:
-    def test_wait_without_keys_falls_back_to_poll(self):
+    def test_wait_without_keys_is_refused(self):
         # a condition over a side flag, with no declared deps or wake keys:
-        # nobody will ever notify for it, so it must still wake via the
-        # full-poll fallback
-        flag = {"ready": False}
-
+        # nobody could ever notify for it, so it would sleep until its
+        # timeout — parking on it is an error that names the wait kind
         def waiter(ctx, sched, log):
-            yield WaitFor(lambda: flag["ready"], WaitKind.PROGRESS)
-            log.append(("woke", sched.now))
+            yield WaitFor(lambda: False, WaitKind.PROGRESS)
 
-        def setter(ctx, sched, log):
-            yield Cost(30.0)
-            flag["ready"] = True
-            yield Cost(1.0)
-
-        scheduler, cc, _ = build([waiter, setter], n_txns=[1, 1])
-        assert scheduler._event_driven
-        scheduler.run(100.0)
-        assert ("woke", 30.0) in cc.log
+        scheduler, _, _ = build([waiter], n_txns=[1])
+        with pytest.raises(SchedulerError, match=WaitKind.PROGRESS):
+            scheduler.run(100.0)
+        assert scheduler.parked_count == 0
 
     def test_subscription_index_cleaned_after_run(self):
         # drive the scripted harness and check the wake maps fully drain
@@ -144,7 +56,6 @@ class TestSubscriptions:
         assert done["n"] == 2
         assert scheduler._subs == {}
         assert scheduler._sub_keys == {}
-        assert scheduler._poll_parked == {}
         assert scheduler._dirty == set()
         assert scheduler._park_order == {}
 
@@ -164,7 +75,8 @@ class TestSubscriptions:
 
         def bystander(ctx, sched, log):
             yield Cost(0.5)
-            yield WaitFor(lambda: False, WaitKind.PROGRESS)
+            yield WaitFor(lambda: False, WaitKind.PROGRESS,
+                          wake_keys=("never notified",))
 
         scheduler, cc, _ = build([waiter, setter, bystander],
                                  n_txns=[1, 1, 1])
@@ -247,8 +159,7 @@ class TestCycleVictim:
 
 
 class TestSegmentedAccounting:
-    @pytest.mark.parametrize("mode", ["event", "poll"])
-    def test_cost_remainder_charged_when_deferred_wake_fires(self, mode):
+    def test_cost_remainder_charged_when_deferred_wake_fires(self):
         """A fully-busy worker must show zero idle even when run() is
         called in segments whose horizons split its cost spans (the old
         clip-and-drop lost the remainder to idle)."""
@@ -257,8 +168,7 @@ class TestSegmentedAccounting:
             yield Cost(80.0)
             yield Cost(80.0)
 
-        config = SimConfig(n_workers=1, duration=200.0, seed=1,
-                           wait_wakeups=mode)
+        config = SimConfig(n_workers=1, duration=200.0, seed=1)
         from repro.sim.scheduler import Scheduler
         from repro.sim.stats import RunStats
         from repro.sim.worker import Worker
@@ -344,15 +254,3 @@ class TestSegmentedAccounting:
             for key in single_row:
                 assert seg_row[key] == pytest.approx(single_row[key]), key
         assert check_accounting(seg_acct) is None
-
-
-class TestConfig:
-    def test_wait_wakeups_validated(self):
-        from repro.errors import ConfigError
-        with pytest.raises(ConfigError):
-            SimConfig(wait_wakeups="busy-loop")
-
-    def test_modes_accepted(self):
-        assert SimConfig(wait_wakeups="poll").wait_wakeups == "poll"
-        assert dataclasses.replace(
-            SimConfig(), wait_wakeups="event").wait_wakeups == "event"

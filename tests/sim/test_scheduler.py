@@ -129,12 +129,14 @@ class TestWaiting:
         flag = {"ready": False}
 
         def waiter(ctx, sched, log):
-            yield WaitFor(lambda: flag["ready"], WaitKind.PROGRESS)
+            yield WaitFor(lambda: flag["ready"], WaitKind.PROGRESS,
+                          wake_keys=("flag",))
             log.append(("woke", sched.now))
 
         def setter(ctx, sched, log):
             yield Cost(30.0)
             flag["ready"] = True
+            sched.notify_lock("flag")
             yield Cost(1.0)
 
         scheduler, cc, _ = build([waiter, setter], n_txns=[1, 1])
@@ -154,11 +156,13 @@ class TestWaiting:
         flag = {"ready": False}
 
         def waiter(ctx, sched, log):
-            yield WaitFor(lambda: flag["ready"], WaitKind.LOCK)
+            yield WaitFor(lambda: flag["ready"], WaitKind.LOCK,
+                          wake_keys=("flag",))
 
         def setter(ctx, sched, log):
             yield Cost(40.0)
             flag["ready"] = True
+            sched.notify_lock("flag")
             yield Cost(1.0)
 
         scheduler, _, _ = build([waiter, setter], n_txns=[1, 1])
@@ -204,7 +208,8 @@ class TestCyclesAndTimeouts:
 
     def test_wait_timeout_fires(self):
         def forever(ctx, sched, log):
-            yield WaitFor(lambda: False, WaitKind.PROGRESS)
+            yield WaitFor(lambda: False, WaitKind.PROGRESS,
+                          wake_keys=("never notified",))
             log.append("survived")
 
         cost = CostModel(wait_timeout=100.0)
@@ -215,7 +220,8 @@ class TestCyclesAndTimeouts:
 
     def test_abort_on_timeout_for_correctness_waits(self):
         def forever(ctx, sched, log):
-            yield WaitFor(lambda: False, WaitKind.COMMIT_DEPS)
+            yield WaitFor(lambda: False, WaitKind.COMMIT_DEPS,
+                          wake_keys=("never notified",))
 
         cost = CostModel(wait_timeout=100.0)
         scheduler, cc, stats = build([forever], n_txns=[1], cost=cost)

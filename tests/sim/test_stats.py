@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
+from repro.obs.timeline import TimelineSampler
 from repro.sim.stats import LatencyDigest, RunStats, percentile
 
 
@@ -74,8 +75,8 @@ class TestLatencyDigest:
 
 
 class TestRunStats:
-    def make(self, warmup=0.0, bucket=None):
-        stats = RunStats(["a", "b"], warmup_end=warmup, timeline_bucket=bucket)
+    def make(self, warmup=0.0):
+        stats = RunStats(["a", "b"], warmup_end=warmup)
         stats.start_time = 0.0
         stats.end_time = 10_000.0
         return stats
@@ -129,12 +130,13 @@ class TestRunStats:
         assert stats.backoff_time == pytest.approx(50.0)
         assert stats.warmup_backoff_time == pytest.approx(100.0)
 
-    def test_timeline_series(self):
-        stats = self.make(bucket=1000.0)
+    def test_commits_feed_the_timeline_sampler(self):
+        stats = self.make()
+        stats.sampler = TimelineSampler(window=1000.0, n_workers=1)
         stats.record_commit("a", 500.0, 1.0)
         stats.record_commit("a", 2500.0, 1.0)
         stats.record_commit("a", 2700.0, 1.0)
-        series = stats.timeline_series()
+        series = [row["throughput_tps"] for row in stats.sampler.rows()]
         assert len(series) == 3
         assert series[0] == pytest.approx(1000.0)  # 1 commit/ms = 1000/s
         assert series[1] == 0.0
