@@ -120,8 +120,14 @@ class ClusterCC(ConcurrencyControl):
                 runtime.active_worker = wid
                 try:
                     if pending_exc is not None:
-                        exc, pending_exc = pending_exc, None
-                        directive = gen.throw(exc)
+                        try:
+                            directive = gen.throw(pending_exc)
+                        finally:
+                            # also when it comes back out: its traceback
+                            # then holds this frame, and a frame local
+                            # naming it would close a reference cycle per
+                            # aborted attempt
+                            pending_exc = None
                     else:
                         directive = gen.send(to_send)
                 except StopIteration:

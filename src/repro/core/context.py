@@ -75,7 +75,8 @@ class TxnContext:
     __slots__ = ("txn_id", "type_index", "type_name", "worker", "priority",
                  "status", "progress", "deps", "rset", "wset", "buffer",
                  "undo_log", "wait_exempt", "readers", "doomed",
-                 "touched_records", "start_time", "_next_seq", "abort_reason")
+                 "touched_records", "start_time", "_next_seq", "abort_reason",
+                 "dirty_writes")
 
     def __init__(self, txn_id: int, type_index: int, type_name: str,
                  worker: Optional["Worker"], priority: Tuple[float, int],
@@ -95,6 +96,12 @@ class TxnContext:
         self.rset: Dict[Tuple[str, tuple], ReadEntry] = {}
         #: write set keyed by (table, key)
         self.wset: Dict[Tuple[str, tuple], WriteEntry] = {}
+        #: the write entries whose ``dirty_since_expose`` is set — what the
+        #: next PUBLIC write has to expose — so early validation counts and
+        #: publishes what changed instead of rescanning ``wset`` per access.
+        #: Kept by the policy executor wherever the flag flips (silo / 2pl
+        #: never expose and leave it empty); flip order, no duplicates
+        self.dirty_writes: List[WriteEntry] = []
         #: accesses made since the last successful early validation; these
         #: have not yet been appended to access lists (Algorithm 1 defers
         #: appends until a validation succeeds)
@@ -134,6 +141,25 @@ class TxnContext:
         vid = (self.txn_id, self._next_seq)
         self._next_seq += 1
         return vid
+
+    def release(self) -> None:
+        """Drop everything only a live attempt needs; the last step of
+        :func:`repro.core.validation.finish`.  Read/write sets (with their
+        row copies) and the dependency edges go, so a terminated context
+        pins no other context and reference counting frees dead attempts
+        without the cyclic collector.  Identity and outcome stay: waiters'
+        conditions, ``read_entry_doomed``, the wait-graph walk and trace
+        attributes still read ``status`` / ``progress`` / ``doomed`` /
+        ``txn_id`` / ``type_name`` / ``worker`` / ``priority`` of a
+        terminal context.  (``touched_records`` is emptied by ``scrub``.)"""
+        self.deps.clear()
+        self.wait_exempt.clear()
+        self.rset.clear()
+        self.wset.clear()
+        self.dirty_writes.clear()
+        self.buffer.clear()
+        self.undo_log.clear()
+        self.readers.clear()
 
     def note_progress(self, access_id: int) -> None:
         if access_id > self.progress:

@@ -292,6 +292,9 @@ class PolicyExecutor(ConcurrencyControl):
                 wentry = ctx.wset[key]
                 wentry.value = old_value
                 wentry.dirty_since_expose = old_dirty
+        # piece retries are rare: rebuilding beats undoing list edits
+        ctx.dirty_writes = [w for w in ctx.wset.values()
+                            if w.dirty_since_expose]
         ctx.undo_log.clear()
         ctx.buffer.clear()
 
@@ -439,11 +442,14 @@ class PolicyExecutor(ConcurrencyControl):
                                 order=len(ctx.wset))
             ctx.wset[key] = wentry
             ctx.undo_log.append(("wnew", key))
+            ctx.dirty_writes.append(wentry)
         else:
             ctx.undo_log.append(("wmod", key, wentry.value,
                                  wentry.dirty_since_expose))
             wentry.value = op.value
-            wentry.dirty_since_expose = True
+            if not wentry.dirty_since_expose:
+                wentry.dirty_since_expose = True
+                ctx.dirty_writes.append(wentry)
         ctx.touched_records.add(record)
 
         if crow.write_public:
@@ -488,11 +494,14 @@ class PolicyExecutor(ConcurrencyControl):
                                 order=len(ctx.wset))
             ctx.wset[key] = wentry
             ctx.undo_log.append(("wnew", key))
+            ctx.dirty_writes.append(wentry)
         else:
             ctx.undo_log.append(("wmod", key, wentry.value,
                                  wentry.dirty_since_expose))
             wentry.value = new_value
-            wentry.dirty_since_expose = True
+            if not wentry.dirty_since_expose:
+                wentry.dirty_since_expose = True
+                ctx.dirty_writes.append(wentry)
         ctx.touched_records.add(record)
 
         if crow.write_public or crow.early_validate:
@@ -508,7 +517,10 @@ class PolicyExecutor(ConcurrencyControl):
     def _do_scan(self, ctx: TxnContext, op: ScanOp) -> Generator:
         """Committed-read range scan (§6: Silo's mechanism, no policy
         actions apply)."""
-        table = self.db.table(op.table)
+        try:
+            table = self._tables[op.table]
+        except KeyError:
+            table = self.db.table(op.table)  # raises UnknownTableError
         # snapshot values and version ids NOW — simulated time passes at the
         # next yield and rows may be deleted under us meanwhile.  Rows with
         # an exposed (uncommitted) delete are skipped: the deleter has
@@ -563,8 +575,9 @@ class PolicyExecutor(ConcurrencyControl):
             if dep.status != _ACTIVE:
                 # a terminal dependency can never become active again, so
                 # drop it from the dependency set: contended runs would
-                # otherwise re-scan an ever-growing tail of dead contexts
-                # at every later wait (and pin them in memory)
+                # otherwise re-scan a growing tail of dead contexts at
+                # every later wait (memory is not the reason: a terminal
+                # context is a released shell, see TxnContext.release)
                 if dead is None:
                     dead = [dep]
                 else:
@@ -622,9 +635,7 @@ class PolicyExecutor(ConcurrencyControl):
             wait = self._wait_over(ctx, ctx.deps, plan)
         n_entries = len(ctx.buffer)
         if publish_writes:
-            for w in ctx.wset.values():
-                if w.dirty_since_expose:
-                    n_entries += 1
+            n_entries += len(ctx.dirty_writes)
         costs = self._ev_costs
         cost = costs[n_entries] if n_entries < len(costs) else \
             Cost(self.config.cost.early_validate_entry * n_entries)
@@ -671,9 +682,11 @@ class PolicyExecutor(ConcurrencyControl):
         ctx.buffer.clear()
         if not publish_writes:
             return
-        for wentry in sorted(ctx.wset.values(), key=_ORDER_KEY):
-            if not wentry.dirty_since_expose:
-                continue
+        dirty = ctx.dirty_writes
+        if len(dirty) > 1:
+            # flip order -> program order of first write (install order)
+            dirty.sort(key=_ORDER_KEY)
+        for wentry in dirty:
             access_list = wentry.record.access_list
             for dep in access_list.predecessors_of_tail(ctx, writes_only=False):
                 ctx.deps.add(dep)
@@ -683,6 +696,7 @@ class PolicyExecutor(ConcurrencyControl):
             wentry.exposed_vid = vid
             wentry.dirty_since_expose = False
             ctx.touched_records.add(wentry.record)
+        dirty.clear()
 
     # ------------------------------------------------------------------ #
     # final commit (§4.4)

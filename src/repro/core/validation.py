@@ -83,9 +83,9 @@ def scrub(ctx: TxnContext) -> None:
     for record in ctx.touched_records:
         record.access_list.remove_txn(ctx)
         if record.writer_ctx is ctx:
-            # drop the install-provenance pointer: a terminal context kept
-            # reachable from storage would pin its whole dependency graph
-            # (worker, read/write sets, deps) for the run's lifetime
+            # drop the install-provenance pointer: storage names live
+            # transactions only (storage_residue checks it), so a terminal
+            # context is freed as soon as its last reader or waiter is
             record.writer_ctx = None
         if record.lock_owner is ctx:
             record.unlock(ctx)
@@ -97,11 +97,16 @@ def scrub(ctx: TxnContext) -> None:
 
 def finish(ctx: TxnContext, status: str, reason: Optional[str] = None,
            recorder=None) -> None:
-    """Transition ``ctx`` to a terminal status and scrub shared state.
+    """Transition ``ctx`` to a terminal status, scrub shared state and
+    release the context — the one termination point of every protocol.
 
     If a history ``recorder`` is supplied (see
     :mod:`repro.analysis.serializability`) every commit is reported to it,
     which lets tests machine-check serializability of whole runs.
+
+    Release is the last step: ``durability.log_commit`` and
+    ``recorder.on_commit`` read the full read/write sets, and nothing may
+    read them afterwards (see :meth:`TxnContext.release`).
     """
     ctx.status = status
     ctx.abort_reason = reason
@@ -116,8 +121,7 @@ def finish(ctx: TxnContext, status: str, reason: Optional[str] = None,
         # writes can never validate — doom them now so they stop wasting
         # work and stop spreading the poisoned versions further
         trace = worker.trace if worker is not None else None
-        # getattr: stub schedulers in unit tests predate the timeline attr
-        timeline = getattr(scheduler, "timeline", None)
+        timeline = scheduler.timeline if scheduler is not None else None
         for reader in ctx.readers:
             if reader.is_active():
                 reader.doomed = True
@@ -133,18 +137,15 @@ def finish(ctx: TxnContext, status: str, reason: Optional[str] = None,
                         {"doomed_txn": reader.txn_id,
                          "doomed_type": reader.type_name,
                          "reason": reason}))
-    ctx.readers.clear()
     if status == TxnStatus.COMMITTED:
-        if scheduler is not None:
+        if scheduler is not None and scheduler.durability is not None:
             # epoch group commit: append the installed write images to the
             # worker's log buffer at the install point, so log order ==
-            # commit order (getattr: unit tests drive finish() with stub
-            # schedulers that predate the durability attribute)
-            durability = getattr(scheduler, "durability", None)
-            if durability is not None:
-                durability.log_commit(ctx)
+            # commit order
+            scheduler.durability.log_commit(ctx)
         if recorder is not None:
             recorder.on_commit(ctx)
+    ctx.release()
 
 
 def storage_residue(db: "Database") -> List[str]:

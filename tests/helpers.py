@@ -14,9 +14,11 @@ immediately visible — the workhorse oracle for concurrency tests.
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import List, Optional
 
 from repro.storage.database import Database
+from repro.core.executor import PolicyExecutor
 from repro.core.ops import UpdateOp
 from repro.core.protocol import TxnInvocation
 from repro.core.spec import AccessKinds, AccessSpec, TxnTypeSpec, WorkloadSpec
@@ -153,3 +155,50 @@ def view_snapshots_at_node_crash(monkeypatch, manager_cls) -> list:
 
     monkeypatch.setattr(manager_cls, "node_crash", crash_then_look)
     return snapshots
+
+
+_BY_ORDER = attrgetter("order")
+
+
+class DirtyListCheckingExecutor(PolicyExecutor):
+    """``PolicyExecutor`` that checks, wherever early validation reads it,
+    that ``ctx.dirty_writes`` holds exactly the write-set entries a scan
+    for ``dirty_since_expose`` would find — the scan the list replaced.
+    Test-only: the production executor carries no such assert.
+
+    ``seen`` counts the cases a run must reach for the check to mean
+    something: piece-retry rollbacks, rollbacks that restore an exposed
+    write to clean, exposed writes dirtied again, and lists whose flip
+    order is not program order (so ``_publish`` has to sort)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.seen = {"checks": 0, "rollbacks": 0, "restored_clean": 0,
+                     "redirtied": 0, "unsorted": 0}
+
+    def check_dirty_list(self, ctx) -> None:
+        scan = [w for w in sorted(ctx.wset.values(), key=_BY_ORDER)
+                if w.dirty_since_expose]
+        assert sorted(ctx.dirty_writes, key=_BY_ORDER) == scan, \
+            (ctx, [w.key for w in ctx.dirty_writes], [w.key for w in scan])
+        self.seen["checks"] += 1
+        self.seen["redirtied"] += sum(
+            w.exposed_vid is not None for w in scan)
+        self.seen["unsorted"] += ctx.dirty_writes != scan
+
+    def _early_validate_prelude(self, ctx, crow, publish_writes):
+        self.check_dirty_list(ctx)
+        return super()._early_validate_prelude(ctx, crow, publish_writes)
+
+    def _publish(self, ctx, publish_writes) -> None:
+        self.check_dirty_list(ctx)
+        super()._publish(ctx, publish_writes)
+        self.check_dirty_list(ctx)
+
+    def _rollback_to_checkpoint(self, ctx) -> None:
+        self.seen["rollbacks"] += 1
+        self.seen["restored_clean"] += sum(
+            entry[0] == "wmod" and entry[3] is False
+            for entry in ctx.undo_log)
+        super()._rollback_to_checkpoint(ctx)
+        self.check_dirty_list(ctx)

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from repro.config import SimConfig
 from repro.analysis import HistoryRecorder, SerializabilityChecker
-from repro.core.executor import PolicyExecutor
 from repro.training.ea import random_backoff, random_policy
 
-from tests.helpers import CounterWorkload, counter_spec, run_counter_experiment
+from tests.helpers import (DirtyListCheckingExecutor as PolicyExecutor,
+                           counter_spec, run_counter_experiment)
 
 PROPERTY_SETTINGS = settings(
     max_examples=20, deadline=None,
@@ -46,6 +46,43 @@ def test_random_policies_commit_only_serializable_histories(policy_seed,
     # and no lost updates: the counter accounting must be exact
     assert workload.check_against_commits(result.stats.total_commits) == [], \
         policy.describe()
+
+
+def _run_rewriting_counters(policy_seed, sim_seed, duration):
+    """Three increments over two counters: every transaction writes some
+    key twice, so exposed writes are dirtied again and piece retries undo
+    ``wmod`` records — the cases the dirty-write list has to track."""
+    spec = counter_spec(3)
+    rng = random.Random(policy_seed)
+    cc = PolicyExecutor(policy=random_policy(spec, rng),
+                        backoff_policy=random_backoff(1, rng))
+    config = SimConfig(n_workers=6, duration=duration, seed=sim_seed)
+    workload, result = run_counter_experiment(cc, config, n_keys=2,
+                                              n_accesses=3)
+    assert workload.check_against_commits(result.stats.total_commits) == []
+    return cc.seen
+
+
+@given(policy_seed=st.integers(min_value=0, max_value=2 ** 31),
+       sim_seed=st.integers(min_value=0, max_value=2 ** 31))
+@PROPERTY_SETTINGS
+def test_dirty_write_list_equals_the_write_set_scan(policy_seed, sim_seed):
+    """``ctx.dirty_writes`` is the scan it replaced, at every early
+    validation, publication and rollback (asserted inside the executor
+    subclass every policy property in this file runs under)."""
+    _run_rewriting_counters(policy_seed, sim_seed, 1500.0)
+
+
+def test_dirty_write_list_property_reaches_the_hard_cases():
+    """Pinned seeds under which the check above provably sees piece
+    retries, ``wmod`` undo records restoring a clean exposed write,
+    re-dirtied exposed writes and out-of-order lists."""
+    seen = {}
+    for seed in (5, 8):
+        for case, count in _run_rewriting_counters(seed, seed,
+                                                   3000.0).items():
+            seen[case] = seen.get(case, 0) + count
+    assert all(seen.values()), seen
 
 
 @given(policy_seed=st.integers(min_value=0, max_value=2 ** 31))
