@@ -32,7 +32,8 @@ The run-insight layer builds on those pillars:
 from .tracing import (EventKind, JsonlStreamSink, MemorySink, NullSink,
                       NULL_SINK, TRACE_SCHEMA, TRACE_SCHEMA_VERSION,
                       TraceEvent, TraceSink, chrome_trace_events,
-                      export_chrome_trace, read_jsonl, write_jsonl)
+                      export_chrome_trace, iter_jsonl, read_jsonl,
+                      write_jsonl)
 from .metrics import (Counter, Gauge, Histogram, METRICS_SCHEMA,
                       METRICS_SCHEMA_VERSION, MetricsRegistry,
                       load_metrics_json)
@@ -73,6 +74,7 @@ __all__ = [
     "default_timeline_window",
     "export_chrome_trace",
     "format_profile_table",
+    "iter_jsonl",
     "latency_critical_path",
     "load_metrics_json",
     "load_timeline_json",

@@ -19,14 +19,17 @@ answers by hand:
   policy's chosen actions, so a learned policy's behaviour is explainable
   ("this state ran 4 812 times with DIRTY_READ + PUBLIC + validate").
 
-All three are pure functions of an event list (and, for the audit, an
-optional policy): no simulation state, no RNG, deterministic output for a
+Each analyser is a fold — its state, ``feed(event)``, ``result()`` —
+whose state is bounded by workers, access sites and policy states, never
+by trace length; ``repro report`` feeds all of them from one streaming
+pass over the trace file.  The public functions feed an event list to
+the same fold.  No simulation state, no RNG, deterministic output for a
 deterministic trace.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .tracing import EventKind, TraceEvent
 
@@ -35,6 +38,12 @@ _CONFLICT_KINDS = ("progress", "commit_deps", "lock")
 
 #: placeholder used when the counterpart / table / piece is unknown
 UNKNOWN = "*"
+
+
+def _fold(fold, events: Iterable[TraceEvent]) -> dict:
+    for event in events:
+        fold.feed(event)
+    return fold.result()
 
 
 def _key_str(table: object, key: object) -> str:
@@ -78,49 +87,59 @@ def conflict_attribution(events: List[TraceEvent], top_k: int = 10) -> dict:
                     aborts, dooms, piece_retries, total}, ...],   # sorted
          "hot_keys": [{table, key, waits, aborts, total}, ...]}   # top-K
     """
-    pairs: Dict[Tuple[str, str, str, object], _PairRow] = {}
-    hot: Dict[Tuple[str, str], Dict[str, float]] = {}
-    #: worker -> attrs of its most recent ACCESS event
-    last_access: Dict[int, dict] = {}
-    #: worker -> (site table, access_id, dep types) of its open wait
-    open_wait: Dict[int, Tuple[str, object, Tuple[str, ...]]] = {}
+    return _fold(_ConflictAttribution(top_k), events)
 
-    def pair(txn_type: object, other: object, table: object,
-             access_id: object) -> _PairRow:
+
+class _ConflictAttribution:
+    """The fold behind :func:`conflict_attribution`."""
+
+    def __init__(self, top_k: int = 10) -> None:
+        self.top_k = top_k
+        self.pairs: Dict[Tuple[str, str, str, object], _PairRow] = {}
+        self.hot: Dict[Tuple[str, str], Dict[str, float]] = {}
+        #: worker -> attrs of its most recent ACCESS event
+        self.last_access: Dict[int, dict] = {}
+        #: worker -> (site table, access_id, dep types) of its open wait
+        self.open_wait: Dict[int, Tuple[str, object, Tuple[str, ...]]] = {}
+
+    def _pair(self, txn_type: object, other: object, table: object,
+              access_id: object) -> _PairRow:
         key = (str(txn_type or UNKNOWN), str(other or UNKNOWN),
                str(table or UNKNOWN),
                access_id if access_id is not None else UNKNOWN)
-        row = pairs.get(key)
+        row = self.pairs.get(key)
         if row is None:
-            row = pairs[key] = _PairRow()
+            row = self.pairs[key] = _PairRow()
         return row
 
-    def hot_key(table: object, key: object, field: str,
-                amount: float = 1.0) -> None:
+    def _hot_key(self, table: object, key: object, field: str,
+                 amount: float = 1.0) -> None:
         if table is None or key is None:
             return
-        entry = hot.setdefault((str(table), _key_str(table, key)),
-                               {"waits": 0, "aborts": 0, "wait_ticks": 0.0})
+        entry = self.hot.setdefault((str(table), _key_str(table, key)),
+                                    {"waits": 0, "aborts": 0,
+                                     "wait_ticks": 0.0})
         entry[field] += amount
 
-    for event in events:
+    def feed(self, event: TraceEvent) -> None:
         kind = event.kind
         attrs = event.attrs or {}
         worker = event.worker
+        pair = self._pair
         if kind == EventKind.ACCESS:
-            last_access[worker] = attrs
+            self.last_access[worker] = attrs
         elif kind == EventKind.WAIT_BEGIN:
-            access = last_access.get(worker, {})
+            access = self.last_access.get(worker, {})
             deps = tuple(attrs.get("deps", ()))
-            open_wait[worker] = (access.get("table"),
-                                 access.get("access_id"), deps)
+            self.open_wait[worker] = (access.get("table"),
+                                      access.get("access_id"), deps)
             for other in deps or (UNKNOWN,):
                 row = pair(event.txn_type, other, access.get("table"),
                            access.get("access_id"))
                 row.waits += 1
-            hot_key(access.get("table"), access.get("key"), "waits")
+            self._hot_key(access.get("table"), access.get("key"), "waits")
         elif kind == EventKind.WAIT_END:
-            site = open_wait.pop(worker, None)
+            site = self.open_wait.pop(worker, None)
             if site is not None:
                 table, access_id, deps = site
                 waited = attrs.get("waited", 0.0)
@@ -128,48 +147,49 @@ def conflict_attribution(events: List[TraceEvent], top_k: int = 10) -> dict:
                     pair(event.txn_type, other, table,
                          access_id).wait_ticks += waited
         elif kind == EventKind.ABORT:
-            access = last_access.get(worker, {})
+            access = self.last_access.get(worker, {})
             table = attrs.get("table", access.get("table"))
             key = attrs.get("key", access.get("key"))
             row = pair(event.txn_type, UNKNOWN, table,
                        access.get("access_id"))
             row.aborts += 1
-            hot_key(table, key, "aborts")
+            self._hot_key(table, key, "aborts")
         elif kind == EventKind.PIECE_RETRY:
-            access = last_access.get(worker, {})
+            access = self.last_access.get(worker, {})
             table = attrs.get("table", access.get("table"))
             key = attrs.get("key", access.get("key"))
             row = pair(event.txn_type, UNKNOWN, table,
                        access.get("access_id"))
             row.piece_retries += 1
-            hot_key(table, key, "aborts")
+            self._hot_key(table, key, "aborts")
         elif kind == EventKind.DOOM:
             # victim = the doomed reader; aggressor = the aborting writer
             pair(attrs.get("doomed_type"), event.txn_type,
                  UNKNOWN, None).dooms += 1
 
-    pair_rows = []
-    for (txn_type, other, table, access_id), row in pairs.items():
-        pair_rows.append({
-            "type": txn_type, "other": other, "table": table,
-            "access_id": access_id, "waits": row.waits,
-            "wait_ticks": row.wait_ticks, "aborts": row.aborts,
-            "dooms": row.dooms, "piece_retries": row.piece_retries,
-            "total": row.total,
-        })
-    pair_rows.sort(key=lambda r: (-r["total"], -r["wait_ticks"], r["type"],
-                                  r["other"], r["table"],
-                                  str(r["access_id"])))
+    def result(self) -> dict:
+        pair_rows = []
+        for (txn_type, other, table, access_id), row in self.pairs.items():
+            pair_rows.append({
+                "type": txn_type, "other": other, "table": table,
+                "access_id": access_id, "waits": row.waits,
+                "wait_ticks": row.wait_ticks, "aborts": row.aborts,
+                "dooms": row.dooms, "piece_retries": row.piece_retries,
+                "total": row.total,
+            })
+        pair_rows.sort(key=lambda r: (-r["total"], -r["wait_ticks"],
+                                      r["type"], r["other"], r["table"],
+                                      str(r["access_id"])))
 
-    hot_rows = []
-    for (table, key), entry in hot.items():
-        hot_rows.append({"table": table, "key": key,
-                         "waits": int(entry["waits"]),
-                         "aborts": int(entry["aborts"]),
-                         "wait_ticks": entry["wait_ticks"],
-                         "total": int(entry["waits"] + entry["aborts"])})
-    hot_rows.sort(key=lambda r: (-r["total"], r["table"], r["key"]))
-    return {"pairs": pair_rows, "hot_keys": hot_rows[:top_k]}
+        hot_rows = []
+        for (table, key), entry in self.hot.items():
+            hot_rows.append({"table": table, "key": key,
+                             "waits": int(entry["waits"]),
+                             "aborts": int(entry["aborts"]),
+                             "wait_ticks": entry["wait_ticks"],
+                             "total": int(entry["waits"] + entry["aborts"])})
+        hot_rows.sort(key=lambda r: (-r["total"], r["table"], r["key"]))
+        return {"pairs": pair_rows, "hot_keys": hot_rows[:self.top_k]}
 
 
 # ---------------------------------------------------------------------- #
@@ -201,22 +221,30 @@ def latency_critical_path(events: List[TraceEvent]) -> dict:
     latency sum); ``epoch_flush`` is the extra ack delay of group commit,
     derived from EPOCH-event ack latencies when present.
     """
-    spans: Dict[int, _Span] = {}
-    types: Dict[str, Dict[str, float]] = {}
-    violations = 0
-    #: per-type [count, total ack latency] harvested from EPOCH events
-    acks: Dict[str, List[float]] = {}
+    return _fold(_CriticalPath(), events)
 
-    def bucket(type_name: str) -> Dict[str, float]:
-        entry = types.get(type_name)
+
+class _CriticalPath:
+    """The fold behind :func:`latency_critical_path`."""
+
+    def __init__(self) -> None:
+        #: worker -> its in-flight invocation's measured waits and backoff
+        self.spans: Dict[int, _Span] = {}
+        self.types: Dict[str, Dict[str, float]] = {}
+        self.violations = 0
+        #: per-type [count, total ack latency] harvested from EPOCH events
+        self.acks: Dict[str, List[float]] = {}
+
+    def _bucket(self, type_name: str) -> Dict[str, float]:
+        entry = self.types.get(type_name)
         if entry is None:
-            entry = types[type_name] = {
+            entry = self.types[type_name] = {
                 "commits": 0, "latency_total": 0.0, "execute": 0.0,
                 "backoff": 0.0, "log_buffer": 0.0,
             }
         return entry
 
-    for event in events:
+    def feed(self, event: TraceEvent) -> None:
         kind = event.kind
         worker = event.worker
         attrs = event.attrs or {}
@@ -224,24 +252,23 @@ def latency_critical_path(events: List[TraceEvent]) -> dict:
             if attrs.get("attempt") == 0:
                 # a fresh invocation: drop anything left by a crashed or
                 # given-up predecessor on this worker
-                spans[worker] = _Span()
+                self.spans[worker] = _Span()
         elif kind == EventKind.WAIT_END:
-            span = spans.get(worker)
+            span = self.spans.get(worker)
             if span is not None:
-                waited = attrs.get("waited", 0.0)
-                span.waits[attrs.get("wait_kind", UNKNOWN)] = \
-                    span.waits.get(attrs.get("wait_kind", UNKNOWN), 0.0) \
-                    + waited
+                wait_kind = attrs.get("wait_kind", UNKNOWN)
+                span.waits[wait_kind] = span.waits.get(wait_kind, 0.0) \
+                    + attrs.get("waited", 0.0)
         elif kind == EventKind.BACKOFF:
-            span = spans.get(worker)
+            span = self.spans.get(worker)
             if span is not None:
                 span.backoff += attrs.get("pause", 0.0)
         elif kind == EventKind.COMMIT:
-            span = spans.pop(worker, None)
+            span = self.spans.pop(worker, None)
             if span is None or event.txn_type is None:
-                continue
+                return
             latency = attrs.get("latency", 0.0)
-            entry = bucket(event.txn_type)
+            entry = self._bucket(event.txn_type)
             entry["commits"] += 1
             entry["latency_total"] += latency
             wait_total = 0.0
@@ -252,24 +279,26 @@ def latency_critical_path(events: List[TraceEvent]) -> dict:
             entry["backoff"] += span.backoff
             execute = latency - wait_total - span.backoff
             if execute < -1e-6:
-                violations += 1
+                self.violations += 1
             entry["execute"] += execute
             entry["log_buffer"] += attrs.get("log_cost", 0.0)
         elif kind == EventKind.EPOCH:
             for type_name, (count, total) in attrs.get("acks", {}).items():
-                stat = acks.setdefault(type_name, [0.0, 0.0])
+                stat = self.acks.setdefault(type_name, [0.0, 0.0])
                 stat[0] += count
                 stat[1] += total
 
-    for type_name, entry in types.items():
-        stat = acks.get(type_name)
-        if stat and stat[0]:
-            # group-commit ack delay: mean ack latency - mean commit latency
-            commits = entry["commits"] or 1
-            entry["epoch_flush"] = max(
-                0.0, stat[1] / stat[0] - entry["latency_total"] / commits)
-    return {"types": dict(sorted(types.items())),
-            "residual_violations": violations}
+    def result(self) -> dict:
+        for type_name, entry in self.types.items():
+            stat = self.acks.get(type_name)
+            if stat and stat[0]:
+                # group-commit ack delay: mean ack latency - mean commit
+                # latency
+                commits = entry["commits"] or 1
+                entry["epoch_flush"] = max(
+                    0.0, stat[1] / stat[0] - entry["latency_total"] / commits)
+        return {"types": dict(sorted(self.types.items())),
+                "residual_violations": self.violations}
 
 
 # ---------------------------------------------------------------------- #
@@ -297,26 +326,38 @@ def policy_audit(events: List[TraceEvent], policy=None) -> dict:
     policy executor (silo, 2pl) emit no ACCESS events, so their audit is
     empty — by design, there is no policy to audit.
     """
-    hits: Dict[Tuple[str, int], int] = {}
-    for event in events:
+    return _fold(_PolicyAudit(policy), events)
+
+
+class _PolicyAudit:
+    """The fold behind :func:`policy_audit`."""
+
+    def __init__(self, policy=None) -> None:
+        self.policy = policy
+        self.hits: Dict[Tuple[str, int], int] = {}
+
+    def feed(self, event: TraceEvent) -> None:
         if event.kind != EventKind.ACCESS or event.txn_type is None:
-            continue
+            return
         access_id = (event.attrs or {}).get("access_id")
         if access_id is None:
-            continue
+            return
         key = (event.txn_type, int(access_id))
-        hits[key] = hits.get(key, 0) + 1
-    rows = []
-    for (type_name, access_id), count in hits.items():
-        row: dict = {"type": type_name, "access_id": access_id,
-                     "hits": count}
-        if policy is not None:
-            try:
-                type_index = policy.spec.type_index(type_name)
-                row["actions"] = _describe_row(
-                    policy.row(type_index, access_id))
-            except Exception:
-                pass  # trace from a different workload than the policy
-        rows.append(row)
-    rows.sort(key=lambda r: (-r["hits"], r["type"], r["access_id"]))
-    return {"states": rows}
+        self.hits[key] = self.hits.get(key, 0) + 1
+
+    def result(self) -> dict:
+        policy = self.policy
+        rows = []
+        for (type_name, access_id), count in self.hits.items():
+            row: dict = {"type": type_name, "access_id": access_id,
+                         "hits": count}
+            if policy is not None:
+                try:
+                    type_index = policy.spec.type_index(type_name)
+                    row["actions"] = _describe_row(
+                        policy.row(type_index, access_id))
+                except Exception:
+                    pass  # trace from a different workload than the policy
+            rows.append(row)
+        rows.sort(key=lambda r: (-r["hits"], r["type"], r["access_id"]))
+        return {"states": rows}

@@ -21,10 +21,17 @@ from typing import List, Optional
 
 from ..config import TICKS_PER_SECOND
 from ..errors import ReproError
-from .insight import conflict_attribution, latency_critical_path, policy_audit
+from .insight import _ConflictAttribution, _CriticalPath, _PolicyAudit
 from .metrics import load_metrics_json
-from .timeline import load_timeline_json
-from .tracing import read_jsonl
+from .timeline import TimelineSampler, load_timeline_json
+from .tracing import EventKind, TraceEvent, iter_jsonl
+
+# build_report calls none of these; they stay importable from this module
+# because the benchmark harness (benchmarks/harness/child.py) wraps them
+# here by name for its per-layer spans
+from .insight import conflict_attribution, latency_critical_path  # noqa: F401
+from .insight import policy_audit  # noqa: F401
+from .tracing import read_jsonl  # noqa: F401
 
 #: compare: relative throughput / p99 change beyond this flags a regression
 DEFAULT_COMPARE_THRESHOLD = 0.10
@@ -40,11 +47,16 @@ def build_report(trace_path: Optional[str] = None,
                  metrics_path: Optional[str] = None,
                  timeline_path: Optional[str] = None,
                  policy=None, top_k: int = 10) -> dict:
-    """Assemble the report dict from whichever artifacts were supplied."""
+    """Assemble the report dict from whichever artifacts were supplied.
+
+    The trace is read first (so its errors take precedence) in one
+    streaming pass that feeds every analyser fold; no event outlives the
+    line it was parsed from."""
     report: dict = {"inputs": {}}
-    events = None
+    analysed = None
     if trace_path:
-        events = read_jsonl(trace_path)
+        analysed = _analyse_trace(trace_path, top_k, policy,
+                                  derive_timeline=not timeline_path)
         report["inputs"]["trace"] = os.path.basename(trace_path)
     metrics_rows = None
     if metrics_path:
@@ -57,20 +69,37 @@ def build_report(trace_path: Optional[str] = None,
                               "rows": document.get("rows", [])}
     if metrics_rows is not None:
         report["summary"] = _summary_from_metrics(metrics_rows)
-    if events is not None:
-        report["trace_events"] = len(events)
-        report["attribution"] = conflict_attribution(events, top_k=top_k)
-        report["critical_path"] = latency_critical_path(events)
-        report["policy_audit"] = policy_audit(events, policy=policy)
-        if "timeline" not in report:
-            timeline = _timeline_from_events(events)
-            if timeline is not None:
-                report["timeline"] = timeline
-    if events is None and metrics_rows is None and not timeline_path:
+    if analysed is not None:
+        report.update(analysed)
+    if analysed is None and metrics_rows is None and not timeline_path:
         raise ReproError(
             "repro report needs at least one artifact "
             "(--trace, --metrics or --timeline)")
     return report
+
+
+def _analyse_trace(path: str, top_k: int, policy,
+                   derive_timeline: bool) -> dict:
+    """One pass over the trace file feeding each analyser fold; returns
+    the event count and each fold's result, plus a trace-derived
+    ``timeline`` when asked for and the trace committed or aborted."""
+    folds = {"attribution": _ConflictAttribution(top_k),
+             "critical_path": _CriticalPath(),
+             "policy_audit": _PolicyAudit(policy)}
+    if derive_timeline:
+        folds["timeline"] = _TimelineFold()
+    feeds = [fold.feed for fold in folds.values()]
+    count = 0
+    for event in iter_jsonl(path):
+        count += 1
+        for feed in feeds:
+            feed(event)
+    out: dict = {"trace_events": count}
+    for name, fold in folds.items():
+        result = fold.result()
+        if result is not None:
+            out[name] = result
+    return out
 
 
 def _summary_from_metrics(rows: List[dict]) -> dict:
@@ -127,33 +156,43 @@ def _summary_from_metrics(rows: List[dict]) -> dict:
     return summary
 
 
-def _timeline_from_events(events, window: float = 1000.0) -> Optional[dict]:
+class _TimelineFold:
     """Fallback per-window throughput derived straight from COMMIT events
     when no timeline artifact was exported alongside the trace."""
-    from .timeline import TimelineSampler
-    from .tracing import EventKind
-    workers = {e.worker for e in events if e.worker >= 0}
-    sampler = TimelineSampler(window, max(1, len(workers)))
-    seen = False
-    for event in events:
-        if event.kind == EventKind.COMMIT:
+
+    def __init__(self, window: float = 1000.0) -> None:
+        self.window = window
+        # the worker count only scales the conflict-wait fraction, which
+        # rows() computes; it is set from the workers seen once fed
+        self.sampler = TimelineSampler(window, 1)
+        self.workers: set = set()
+        self.seen = False
+
+    def feed(self, event: TraceEvent) -> None:
+        if event.worker >= 0:
+            self.workers.add(event.worker)
+        kind = event.kind
+        if kind == EventKind.COMMIT:
             attrs = event.attrs or {}
-            sampler.on_commit(event.ts, event.txn_type or "?",
-                              attrs.get("latency", 0.0))
-            seen = True
-        elif event.kind == EventKind.ABORT:
+            self.sampler.on_commit(event.ts, event.txn_type or "?",
+                                   attrs.get("latency", 0.0))
+            self.seen = True
+        elif kind == EventKind.ABORT:
             attrs = event.attrs or {}
-            sampler.on_abort(event.ts, event.txn_type or "?",
-                             attrs.get("reason", "?"))
-            seen = True
-        elif event.kind == EventKind.WAIT_END:
+            self.sampler.on_abort(event.ts, event.txn_type or "?",
+                                  attrs.get("reason", "?"))
+            self.seen = True
+        elif kind == EventKind.WAIT_END:
             attrs = event.attrs or {}
-            sampler.on_wait(event.ts, attrs.get("wait_kind", "?"),
-                            attrs.get("waited", 0.0))
-    if not seen:
-        return None
-    return {"window": window, "rows": sampler.rows(),
-            "derived_from_trace": True}
+            self.sampler.on_wait(event.ts, attrs.get("wait_kind", "?"),
+                                 attrs.get("waited", 0.0))
+
+    def result(self) -> Optional[dict]:
+        if not self.seen:
+            return None
+        self.sampler.n_workers = max(1, len(self.workers))
+        return {"window": self.window, "rows": self.sampler.rows(),
+                "derived_from_trace": True}
 
 
 # ---------------------------------------------------------------------- #

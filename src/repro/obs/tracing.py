@@ -23,7 +23,8 @@ as complete slices and accesses/validations as instant markers.
 from __future__ import annotations
 
 import json
-from typing import Dict, IO, Iterable, List, Optional, Sequence, Union
+from typing import (Dict, IO, Iterable, Iterator, List, Optional, Sequence,
+                    Union)
 
 from ..errors import ReproError
 
@@ -220,20 +221,27 @@ def write_jsonl(events: Iterable[TraceEvent],
 
 
 def read_jsonl(path: str) -> List[TraceEvent]:
-    """Load a JSONL trace back into :class:`TraceEvent` objects.
+    """Load a whole JSONL trace into a list (see :func:`iter_jsonl`)."""
+    return list(iter_jsonl(path))
+
+
+def iter_jsonl(path: str) -> Iterator[TraceEvent]:
+    """Yield a JSONL trace's :class:`TraceEvent` objects one line at a
+    time, so a consumer that folds over them holds no more than one event.
 
     The first non-blank line may be a schema header; a header naming an
     unknown schema or version is rejected with a :class:`ReproError`
     (don't half-parse artifacts from a future build).  Headerless files
-    (pre-versioning traces) are accepted as version 1."""
-    events = []
+    (pre-versioning traces) are accepted as version 1.  A line that is
+    not a JSON object, lacks ``ts`` or ``kind``, or carries a non-numeric
+    ``ts`` / ``worker`` is a :class:`ReproError` naming its line number."""
     first = True
     try:
         fh = open(path)
     except OSError as exc:
         raise ReproError(f"cannot read trace {path}: {exc}") from exc
     with fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -257,8 +265,18 @@ def read_jsonl(path: str) -> List[TraceEvent]:
                             f"{version!r} (this build reads version "
                             f"{TRACE_SCHEMA_VERSION})")
                     continue  # header consumed; not an event
-            events.append(TraceEvent.from_dict(data))
-    return events
+            if not isinstance(data, dict):
+                raise ReproError(f"{path}:{lineno}: trace event is not a "
+                                 f"JSON object: {line[:60]}")
+            try:
+                event = TraceEvent.from_dict(data)
+            except KeyError as exc:
+                raise ReproError(f"{path}:{lineno}: trace event lacks "
+                                 f"field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ReproError(f"{path}:{lineno}: malformed trace event: "
+                                 f"{exc}") from exc
+            yield event
 
 
 # ---------------------------------------------------------------------- #

@@ -6,9 +6,11 @@ import pytest
 
 from repro.config import SimConfig
 from repro.bench.runner import run_named
+from repro.errors import ReproError
 from repro.obs import (EventKind, JsonlStreamSink, MemorySink, NULL_SINK,
                        NullSink, TraceEvent, chrome_trace_events,
-                       export_chrome_trace, read_jsonl, write_jsonl)
+                       export_chrome_trace, iter_jsonl, read_jsonl,
+                       write_jsonl)
 from repro.workloads.tpcc import make_tpcc_factory
 
 FAST = SimConfig(n_workers=2, duration=1500.0, warmup=0.0, seed=7)
@@ -86,6 +88,34 @@ class TestJsonl:
         path = tmp_path / "trace.jsonl"
         path.write_text('{"ts": 1.0, "kind": "commit", "worker": 0}\n\n')
         assert len(read_jsonl(str(path))) == 1
+
+    def test_iter_yields_what_read_returns(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        write_jsonl(sample_events(), path)
+        events = iter_jsonl(path)
+        assert next(events) == sample_events()[0]
+        assert list(events) == sample_events()[1:]
+
+    @pytest.mark.parametrize("line, detail", [
+        ("[1, 2]", "not a JSON object"),
+        ('"access"', "not a JSON object"),
+        ('{"kind": "access"}', "lacks field 'ts'"),
+        ('{"ts": 1.0, "worker": 0}', "lacks field 'kind'"),
+        ('{"ts": "x", "kind": "access"}', "malformed trace event"),
+        ('{"ts": 1.0, "kind": "access", "worker": "w"}',
+         "malformed trace event"),
+        ('{"ts": 1.0, "kind": "access", "worker": null}',
+         "malformed trace event"),
+    ])
+    def test_malformed_event_names_its_line(self, tmp_path, line, detail):
+        path = tmp_path / "bad.jsonl"
+        header = json.dumps({"schema": "repro.trace", "version": 1})
+        good = json.dumps({"ts": 1.0, "kind": "commit", "worker": 0})
+        path.write_text(f"{header}\n{good}\n\n{line}\n")
+        with pytest.raises(ReproError) as info:
+            read_jsonl(str(path))
+        assert f"{path}:4:" in str(info.value)
+        assert detail in str(info.value)
 
 
 class TestChromeExport:

@@ -74,6 +74,17 @@ class TestReportRendering:
         assert main(["report", "--trace", str(garbage)]) == 2
         assert "not a JSONL trace" in capsys.readouterr().err
 
+    def test_malformed_trace_event_fails_cleanly(self, artifacts, tmp_path,
+                                                 capsys):
+        lines = open(artifacts["trace"]).read().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:3] + ['{"kind": "access"}'])
+                       + "\n")
+        assert main(["report", "--trace", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{bad}:4:" in err
+        assert "Traceback" not in err
+
     def test_timeline_only_report(self, artifacts, capsys):
         assert main(["report", "--timeline", artifacts["timeline"]]) == 0
         out = capsys.readouterr().out
