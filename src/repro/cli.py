@@ -503,9 +503,7 @@ def cmd_chaos(args) -> int:
         from .faults.chaos import cluster_plans
         plans = list(default_plans())
         plans.extend(p for p in cluster_plans(args.duration, args.shards)
-                     if args.durability
-                     or not any(e.kind in ("node_crash", "shard_crash")
-                                for e in p.events))
+                     if args.durability or not p.scripts_crash)
     cc_names = [cc.strip() for cc in args.ccs.split(",")]
     rows = []
     failures = 0

@@ -476,6 +476,7 @@ class ClusterDurability(DurabilityManager):
         coordinator just died block in doubt until the shard rejoins
         after recovery plus ``downtime`` extra ticks.  Called by the
         fault injector's scripted ``shard_crash`` event."""
+        self._require_recovery_state("shard_crash")
         scheduler = self.scheduler
         runtime = self.runtime
         now = scheduler.now

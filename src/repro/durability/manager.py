@@ -30,6 +30,14 @@ for what has no one-shard meaning and reaches in through a few hooks.
   and shared: it is checkpoint 0 *and* the immutable base of the
   :class:`~repro.durability.view.DurableView` the recovery oracle
   compares against.
+* **recovery-only state** — the checkpoint copies, the durable view and
+  the durable-vid set are read by nothing but :meth:`node_crash` and the
+  cluster layer's ``shard_crash``, and only a scripted fault calls those
+  (rate-drawn faults cannot crash a node or a shard).  So :meth:`install`
+  builds that state only when the run's fault plan
+  :attr:`~repro.faults.plan.FaultPlan.scripts_crash`; otherwise every
+  checkpoint is still counted (``checkpoints_taken``) but never copied,
+  and the view stays ``None``.  The WAL is the same either way.
 * **node crash** — the scripted ``node_crash`` fault calls
   :meth:`node_crash`: every worker is torn down (in-flight attempts abort
   through their normal cleanup, pre-charged sleep time is refunded),
@@ -193,10 +201,12 @@ class DurabilityManager:
         self.durable_log: List[LogRecord] = []
         #: committed state implied by the durable log (recovery oracle's
         #: expected state; folded forward as epochs are acked).  Built by
-        #: :meth:`install` over the t=0 image it shares with checkpoint 0
+        #: :meth:`install` over the t=0 image it shares with checkpoint 0,
+        #: and only when the fault plan can crash: ``None`` marks a run
+        #: that keeps no recovery-only state
         self.durable_view: Optional[DurableView] = None
         #: version ids made durable so far (oracle: nothing else may
-        #: surface in a recovered database)
+        #: surface in a recovered database); fed alongside the view
         self._durable_vids: Set[tuple] = set()
         #: highest seqno acked to a client (oracle: must stay durable)
         self.max_acked_seqno = 0
@@ -206,7 +216,9 @@ class DurabilityManager:
         #: view and skipped by replay
         self._void_txns: Set[int] = set()
         # -- checkpoints ------------------------------------------------ #
+        #: the copies recovery may restore (empty without the view)
         self.checkpoints: List[Checkpoint] = []
+        #: modelled checkpoints, copied or not (the metric counts these)
         self.checkpoints_taken = 0
         # -- counters --------------------------------------------------- #
         self.log_records_total = 0
@@ -236,14 +248,21 @@ class DurabilityManager:
     def install(self, scheduler: "Scheduler",
                 worker_factory: Callable[[int, "random.Random"],
                                          "Worker"]) -> None:
-        """Attach to the scheduler: capture the t=0 image once — it is
-        both checkpoint 0 and the durable view's base — and start the
-        epoch (and optional checkpoint) clocks.  ``worker_factory``
-        builds replacement workers after a crash."""
+        """Attach to the scheduler: take checkpoint 0 and start the epoch
+        (and optional checkpoint) clocks.  When the fault plan scripts a
+        crash, checkpoint 0 copies the t=0 image once — it is both the
+        checkpoint and the durable view's base; otherwise no crash can
+        read it and it is only counted.  ``worker_factory`` builds
+        replacement workers after a crash."""
         self.scheduler = scheduler
         self._worker_factory = worker_factory
-        self._take_checkpoint()
-        self.durable_view = DurableView(self.checkpoints[0].snapshot)
+        faults = scheduler.faults
+        if faults is not None and faults.plan.scripts_crash:
+            image = self.db.snapshot()
+            self.checkpoints.append(Checkpoint(scheduler.now, self.seqno,
+                                               image))
+            self.durable_view = DurableView(image)
+        self.checkpoints_taken += 1
         self._start_clocks(0.0)
 
     def _start_clocks(self, origin: float) -> None:
@@ -392,9 +411,10 @@ class DurabilityManager:
         acks = {} if scheduler.trace.enabled else None
         view = self.durable_view
         for record in live:
-            for image in record.writes:
-                self._durable_vids.add(image.vid)
-            view.apply(record)
+            if view is not None:
+                for image in record.writes:
+                    self._durable_vids.add(image.vid)
+                view.apply(record)
             if not record.acks:
                 continue
             # the client ack: the transaction is durable, so *now* it
@@ -416,7 +436,8 @@ class DurabilityManager:
                 now, EventKind.EPOCH, -1,
                 attrs={"epoch": epoch, "records": len(merged),
                        "bytes": nbytes, "acks": acks, **extra_attrs}))
-        self._prune_checkpoints()
+        if view is not None:
+            self._prune_checkpoints()
 
     def _staged_records(self) -> Iterator[LogRecord]:
         """Every record not yet committed, in deterministic order:
@@ -475,15 +496,13 @@ class DurabilityManager:
     # ------------------------------------------------------------------ #
     # checkpoints
 
-    def _take_checkpoint(self) -> None:
-        self.checkpoints.append(Checkpoint(
-            self.scheduler.now, self.seqno, self.db.snapshot()))
-        self.checkpoints_taken += 1
-
     def _on_checkpoint(self, generation: int) -> None:
         if generation != self._crash_generation:
             return
-        self._take_checkpoint()
+        self.checkpoints_taken += 1
+        if self.durable_view is not None:  # only a crash restores a copy
+            self.checkpoints.append(Checkpoint(
+                self.scheduler.now, self.seqno, self.db.snapshot()))
         self.scheduler.schedule_callback(
             self.scheduler.now + self.dc.checkpoint_interval,
             lambda: self._on_checkpoint(generation))
@@ -511,12 +530,22 @@ class DurabilityManager:
     # ------------------------------------------------------------------ #
     # whole-node crash and recovery
 
+    def _require_recovery_state(self, fault: str) -> None:
+        """A crash restores a checkpoint and checks or reads the durable
+        view, which :meth:`install` builds only for a crash-capable plan."""
+        if self.durable_view is None:
+            raise ReproError(
+                f"{fault} on a run installed without recovery state: "
+                f"checkpoints and the durable view are kept only when the "
+                f"fault plan scripts a node_crash or shard_crash")
+
     def node_crash(self) -> RecoveryReport:
         """Crash the whole node — every shard at once — at the current
         simulated time: truncate every shard, drop what awaited the
         watermark, recover from checkpoint + replay, and restart every
         worker after the recovery downtime.  Called by the fault
         injector's scripted ``node_crash`` event."""
+        self._require_recovery_state("node_crash")
         scheduler = self.scheduler
         now = scheduler.now
         self.crash_count += 1

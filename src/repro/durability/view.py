@@ -7,10 +7,14 @@ replay, so a view built the same way would compare recovery with itself.
 
 It is an overlay over the run's single t=0 image rather than a second
 :class:`~repro.storage.database.Database`: only the keys durable records
-wrote are materialised, so a crash-free run pays nothing per initial row.
-The base is shared with checkpoint 0 and is **never mutated** — every row
-that leaves the view (``snapshot``) is re-detached, and ``from_snapshot``
-re-detaches on checkpoint restore.
+wrote are materialised.  The base is shared with checkpoint 0 and is
+**never mutated** — every row that leaves the view (``snapshot``) is
+re-detached, and ``from_snapshot`` re-detaches on checkpoint restore.
+
+Only a crash reads the view (the node-crash oracle, the shard-crash
+rollback), so the durability manager builds one only when the run's fault
+plan scripts a ``node_crash`` or ``shard_crash``; a crash-free durable run
+has no view, no t=0 image and no checkpoint copies at all.
 """
 
 from __future__ import annotations

@@ -303,6 +303,15 @@ class FaultPlan:
         return any(self.rate(kind) > 0.0
                    for kind in ("stall", "abort", "crash", "slow"))
 
+    @property
+    def scripts_crash(self) -> bool:
+        """True when a scripted event crashes the node or a shard — the
+        only faults that restore a checkpoint or read the durable view.
+        Rate-drawn faults never do (:data:`RATE_KINDS`), so a plan without
+        such an event lets a durable run skip its recovery-only state."""
+        return any(event.kind in ("node_crash", "shard_crash")
+                   for event in self.events)
+
     # ------------------------------------------------------------------ #
     # serialization
 

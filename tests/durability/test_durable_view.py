@@ -1,18 +1,22 @@
 """The durable view: one shared t=0 image plus an overlay of durable
 writes.  It must be indistinguishable — byte for byte — from the
 ``Database`` copy it replaced, never touch its base, and cost a durable
-cold start exactly one O(rows) pass."""
+cold start exactly one O(rows) pass when the fault plan can crash — and
+none at all when it cannot."""
 
 import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.runner import run_named, run_protocol
 from repro.cc import make_cc
-from repro.config import DurabilityConfig, SimConfig
+from repro.cluster.workloads import make_cluster_tpcc_factory
+from repro.config import ClusterConfig, DurabilityConfig, SimConfig
 from repro.durability import DurabilityManager, DurableView, LogRecord, \
     WriteImage, apply_record
+from repro.errors import ReproError
 from repro.faults import FaultPlan, ScriptedFault
 from repro.sim.scheduler import Scheduler
 from repro.storage.database import Database, diff_snapshots
@@ -23,6 +27,9 @@ from tests.helpers import CounterWorkload, view_snapshots_at_node_crash
 SMALL_TPCC = TPCCScale(n_warehouses=1, districts_per_warehouse=4,
                        customers_per_district=40, n_items=80,
                        initial_orders_per_district=12)
+SMALL_TPCC_2WH = TPCCScale(n_warehouses=2, districts_per_warehouse=4,
+                           customers_per_district=40, n_items=80,
+                           initial_orders_per_district=12)
 
 
 def row(n, tags):
@@ -108,10 +115,9 @@ def durable_config(**kwargs):
                      **kwargs)
 
 
-def test_cold_start_takes_one_pass_over_the_database(monkeypatch):
-    """The pass-count guard: before the first simulated event a durable
-    run snapshots the database exactly once and never materialises a
-    second one (a count, not a timing)."""
+def count_copies(monkeypatch):
+    """Count ``Database.snapshot`` / ``Database.from_snapshot`` calls;
+    returns (running counts, counts at the first simulated event)."""
     calls = {"snapshot": 0, "from_snapshot": 0}
     at_first_event = {}
     snapshot = Database.snapshot
@@ -134,15 +140,72 @@ def test_cold_start_takes_one_pass_over_the_database(monkeypatch):
     monkeypatch.setattr(Database, "from_snapshot",
                         classmethod(counted_from_snapshot))
     monkeypatch.setattr(Scheduler, "run", stamped_run)
+    return calls, at_first_event
+
+
+def inert_crash_plan(config):
+    """Crash-capable, but the crash is scripted after the horizon."""
+    return FaultPlan(events=[ScriptedFault(time=config.duration + 1.0,
+                                           kind="node_crash")])
+
+
+def test_crash_free_cold_start_copies_nothing(monkeypatch):
+    """No fault plan can crash this run, so it never copies the database
+    — not at t=0 and not at the periodic checkpoints it still counts."""
+    calls, at_first_event = count_copies(monkeypatch)
+    config = SimConfig(n_workers=4, duration=2_000.0, warmup=0.0, seed=3,
+                       durability=DurabilityConfig(epoch_length=400.0,
+                                                   checkpoint_interval=500.0))
     result = run_protocol(make_tpcc_factory(scale=SMALL_TPCC),
-                          make_cc("silo"), durable_config())
+                          make_cc("silo"), config)
+    assert result.invariant_violations == []
+    assert at_first_event == {"snapshot": 0, "from_snapshot": 0}
+    assert calls == {"snapshot": 0, "from_snapshot": 0}
+    manager = result.durability
+    assert manager.durable_log, "the run must have flushed something"
+    assert manager.checkpoints == [] and manager.durable_view is None
+    # the modelled checkpoints are counted as before: t=0 plus every
+    # 500 ticks up to the horizon
+    assert manager.checkpoints_taken == 5
+
+
+def test_crash_capable_cold_start_takes_one_pass_over_the_database(
+        monkeypatch):
+    """The pass-count guard: before the first simulated event a durable
+    run whose plan can crash snapshots the database exactly once and never
+    materialises a second one (a count, not a timing)."""
+    calls, at_first_event = count_copies(monkeypatch)
+    config = durable_config()
+    result = run_protocol(make_tpcc_factory(scale=SMALL_TPCC),
+                          make_cc("silo"), config,
+                          fault_plan=inert_crash_plan(config))
     assert result.invariant_violations == []
     assert at_first_event == {"snapshot": 1, "from_snapshot": 0}
-    # crash-free and checkpoint_interval == 0: nothing later either
+    # no crash fired and checkpoint_interval == 0: nothing later either
     assert calls == {"snapshot": 1, "from_snapshot": 0}
     manager = result.durability
     assert manager.durable_log, "the run must have flushed something"
     assert manager.checkpoints[0].snapshot is manager.durable_view.base
+
+
+def test_crash_needs_a_crash_capable_plan():
+    """A manager installed for a crash-free run has nothing to recover
+    from; a crash there is a wiring error, named as one."""
+    result = run_protocol(lambda: CounterWorkload(n_keys=8), make_cc("silo"),
+                          durable_config())
+    with pytest.raises(ReproError, match="node_crash.*fault plan scripts"):
+        result.durability.node_crash()
+    assert result.durability.crash_count == 0
+    cluster = SimConfig(n_workers=4, duration=1_000.0, warmup=0.0, seed=3,
+                        durability=DurabilityConfig(epoch_length=400.0),
+                        cluster=ClusterConfig(n_shards=2))
+    result = run_protocol(
+        make_cluster_tpcc_factory(2, 4, n_warehouses=2, seed=3,
+                                  scale=SMALL_TPCC_2WH),
+        make_cc("silo"), cluster)
+    with pytest.raises(ReproError, match="shard_crash.*fault plan scripts"):
+        result.durability.shard_crash(1)
+    assert result.durability.shard_crash_count == 0
 
 
 def test_constructor_does_no_per_row_work(monkeypatch):
