@@ -410,8 +410,7 @@ def cmd_compare(args) -> int:
 def _make_trainer(args, spec, factory, metrics):
     from .config import resolve_jobs
     from .training import (EAConfig, EvolutionaryTrainer, FitnessEvaluator,
-                           ParallelEvaluationEngine, PolicyGradientTrainer,
-                           RLConfig)
+                           ParallelEvaluationEngine)
     fitness_cfg = SimConfig(n_workers=args.workers,
                             duration=args.fitness_duration,
                             seed=args.seed, collect_latency=False)
@@ -426,6 +425,12 @@ def _make_trainer(args, spec, factory, metrics):
         run_seed=args.seed,
         metrics=metrics)
     if args.trainer == "rl":
+        try:
+            from .training.rl import PolicyGradientTrainer, RLConfig
+        except ImportError as exc:
+            raise ReproError(
+                f"--trainer rl needs numpy, which is not installed ({exc})"
+            ) from None
         return PolicyGradientTrainer(
             spec, evaluator,
             RLConfig(iterations=args.iterations, seed=args.seed),

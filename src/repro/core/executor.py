@@ -665,7 +665,7 @@ class PolicyExecutor(ConcurrencyControl):
         for rentry in ctx.buffer:
             if rentry.record is None:
                 continue
-            access_list = rentry.record.access_list
+            access_list = rentry.record.publish_list()
             entry = AccessEntry(ctx, AccessKind.READ, rentry.version_id)
             if rentry.from_ctx is None:
                 # committed-version read: ordered before every exposed write
@@ -687,7 +687,7 @@ class PolicyExecutor(ConcurrencyControl):
             # flip order -> program order of first write (install order)
             dirty.sort(key=_ORDER_KEY)
         for wentry in dirty:
-            access_list = wentry.record.access_list
+            access_list = wentry.record.publish_list()
             for dep in access_list.predecessors_of_tail(ctx, writes_only=False):
                 ctx.deps.add(dep)
             vid = ctx.next_version_id()

@@ -10,6 +10,10 @@ between concurrent transactions:
 * a write depends (ww / rw) on every write *and read* that appears before it.
 
 Entries are scrubbed when their transaction commits or aborts.
+
+Most records are never accessed by a transaction that publishes, so a
+record starts out sharing :data:`EMPTY_ACCESS_LIST` and gets its own list
+from :meth:`~repro.storage.record.Record.publish_list` on the first publish.
 """
 
 from __future__ import annotations
@@ -196,3 +200,10 @@ class AccessList:
         """
         own_latest = self.latest_write_of(entry.ctx)
         return own_latest is not None and own_latest.version_id == entry.version_id
+
+
+#: The access list of every record no transaction has published to: one
+#: shared instance whose entries are an empty *tuple*, so every reader sees
+#: an empty list and ``append`` / the ``insert_*`` methods raise.
+EMPTY_ACCESS_LIST = AccessList.__new__(AccessList)
+EMPTY_ACCESS_LIST._entries = ()

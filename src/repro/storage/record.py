@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple, TYPE_CHECKING
 
-from .access_list import AccessList
+from .access_list import EMPTY_ACCESS_LIST, AccessList
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.context import TxnContext
@@ -34,6 +34,7 @@ class VersionIdAllocator:
         self._next_seq = 0
 
     def next_initial(self) -> VersionId:
+        # Table.load inlines these three lines (the bulk-load hot path)
         vid = (INITIAL_TXN_ID, self._next_seq)
         self._next_seq += 1
         return vid
@@ -52,11 +53,21 @@ class Record:
         self.version_id: VersionId = version_id
         #: txn context currently holding the commit-phase lock, or None
         self.lock_owner: Optional["TxnContext"] = None
-        #: per-record access list of in-flight reads / visible writes
-        self.access_list = AccessList()
+        #: per-record access list of in-flight reads / visible writes —
+        #: the shared, frozen EMPTY_ACCESS_LIST until the first publish
+        self.access_list: AccessList = EMPTY_ACCESS_LIST
         #: context that committed the current version (None once it is
         #: fully terminal; kept only for dependency bookkeeping)
         self.writer_ctx: Optional["TxnContext"] = None
+
+    def publish_list(self) -> AccessList:
+        """The access list to publish an entry to: this record's own list,
+        created on the first publish.  Readers use :attr:`access_list`
+        directly; every mutation goes through here."""
+        access_list = self.access_list
+        if access_list is EMPTY_ACCESS_LIST:
+            access_list = self.access_list = AccessList()
+        return access_list
 
     def is_locked_by_other(self, ctx: "TxnContext") -> bool:
         """True if another transaction holds this record's commit lock."""

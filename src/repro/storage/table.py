@@ -17,7 +17,7 @@ import bisect
 from typing import Iterator, List, Optional, Tuple
 
 from ..errors import DuplicateKeyError
-from .record import Record, VersionId, VersionIdAllocator
+from .record import INITIAL_TXN_ID, Record, VersionId, VersionIdAllocator
 
 
 class Table:
@@ -60,11 +60,14 @@ class Table:
         return record is not None and record.value is not None
 
     def load(self, key: tuple, value: dict, allocator: VersionIdAllocator) -> Record:
-        """Install an initial (pre-run) committed version."""
-        if key in self._records:
+        """Install an initial (pre-run) committed version, with the next
+        initial version id ``(INITIAL_TXN_ID, seq)`` from ``allocator``."""
+        records = self._records
+        if key in records:
             raise DuplicateKeyError(f"{self.name}: duplicate initial key {key!r}")
-        record = Record(key, value, allocator.next_initial())
-        self._records[key] = record
+        seq = allocator._next_seq
+        allocator._next_seq = seq + 1
+        record = records[key] = Record(key, value, (INITIAL_TXN_ID, seq))
         self._sorted_keys.append(key)
         self._keys_dirty = True
         return record

@@ -6,6 +6,11 @@ the paper's reward.  ``EvolutionaryTrainer`` is the paper's main method
 (population + cell-wise mutation + truncation selection + warm start);
 ``PolicyGradientTrainer`` is the §5.2 REINFORCE alternative it is compared
 against in Fig 5.
+
+``PolicyGradientTrainer`` and ``RLConfig`` are the only users of numpy,
+which is not a runtime dependency: they are resolved on first attribute
+access (PEP 562), so importing this package — or running the EA trainer —
+never imports numpy.
 """
 
 from .checkpoint import (CHECKPOINT_FORMAT_VERSION, has_checkpoint,
@@ -15,7 +20,6 @@ from .ea import (EAConfig, EvolutionaryTrainer, Individual, TrainingResult,
 from .fitness import (HARD_TIMEOUTS_SUPPORTED, FitnessEvaluator,
                       ResilientEvaluator, call_with_hard_timeout)
 from .parallel import ParallelEvaluationEngine
-from .rl import PolicyGradientTrainer, RLConfig
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -35,3 +39,10 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
 ]
+
+
+def __getattr__(name):
+    if name in ("PolicyGradientTrainer", "RLConfig"):
+        from . import rl
+        return getattr(rl, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

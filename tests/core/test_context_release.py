@@ -261,7 +261,7 @@ def test_event_loop_leaves_no_reference_cycles(cell, monkeypatch,
 def _dirty_read_of_released_writer(status, installed):
     record = Record((1,), {"v": 0}, (0, 0))
     writer = _loaded_ctx(None, txn_id=2)
-    record.access_list.append(
+    record.publish_list().append(
         AccessEntry(writer, AccessKind.WRITE, (2, 0), {"v": 5}))
     writer.touched_records.add(record)
     reader = TxnContext(3, 0, "t", None, (0.0, 3), 0.0)

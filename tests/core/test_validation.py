@@ -34,7 +34,7 @@ class TestCleanReadDoom:
         entry = ReadEntry("T", (1,), record, (0, 0), {"v": 0}, None,
                           intended_dirty=True)
         writer = make_ctx(2)
-        record.access_list.append(
+        record.publish_list().append(
             AccessEntry(writer, AccessKind.WRITE, (2, 0), {"v": 5}))
         assert "missed" in validation.read_entry_doomed(ctx, entry)
 
@@ -43,7 +43,7 @@ class TestCleanReadDoom:
         ctx = make_ctx(1)
         entry = ReadEntry("T", (1,), record, (0, 0), {"v": 0}, None,
                           intended_dirty=True)
-        record.access_list.append(
+        record.publish_list().append(
             AccessEntry(ctx, AccessKind.WRITE, (1, 0), {"v": 5}))
         assert validation.read_entry_doomed(ctx, entry) is None
 
@@ -53,7 +53,7 @@ class TestDirtyReadDoom:
         record = make_record()
         writer = make_ctx(2)
         exposure = AccessEntry(writer, AccessKind.WRITE, (2, 0), {"v": 5})
-        record.access_list.append(exposure)
+        record.publish_list().append(exposure)
         reader = make_ctx(3)
         entry = ReadEntry("T", (1,), record, (2, 0), {"v": 5}, writer,
                           intended_dirty=True)
@@ -83,7 +83,7 @@ class TestDirtyReadDoom:
 
     def test_writer_supersede_dooms(self):
         record, writer, reader, entry = self.setup_dirty()
-        record.access_list.append(
+        record.publish_list().append(
             AccessEntry(writer, AccessKind.WRITE, (2, 1), {"v": 6}))
         assert "superseded" in validation.read_entry_doomed(reader, entry)
 
@@ -93,7 +93,7 @@ class TestDirtyReadDoom:
         reader.wset[("T", (1,))] = WriteEntry("T", (1,), record, {"v": 9},
                                               False, 0)
         other = make_ctx(4)
-        record.access_list.append(
+        record.publish_list().append(
             AccessEntry(other, AccessKind.WRITE, (4, 0), {"v": 7}))
         assert "lost the latest" in validation.read_entry_doomed(reader, entry)
 
@@ -102,7 +102,7 @@ class TestDirtyReadDoom:
         # reads make the stale version legal
         record, writer, reader, entry = self.setup_dirty()
         other = make_ctx(4)
-        record.access_list.append(
+        record.publish_list().append(
             AccessEntry(other, AccessKind.WRITE, (4, 0), {"v": 7}))
         assert validation.read_entry_doomed(reader, entry) is None
 
@@ -141,7 +141,7 @@ class TestFinishAndScrub:
         record = make_record()
         ctx = make_ctx(1)
         record.try_lock(ctx)
-        record.access_list.append(
+        record.publish_list().append(
             AccessEntry(ctx, AccessKind.WRITE, (1, 0), {"v": 1}))
         ctx.touched_records.add(record)
         validation.scrub(ctx)

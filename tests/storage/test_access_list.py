@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.storage.access_list import AccessEntry, AccessKind, AccessList
+from repro.storage.access_list import (EMPTY_ACCESS_LIST, AccessEntry,
+                                       AccessKind, AccessList)
+from repro.storage.record import Record
 from repro.core.context import TxnContext, TxnStatus
 
 
@@ -215,3 +217,46 @@ class TestRemoveTxnSinglePass:
         access_list.remove_txn(a)
         access_list.remove_txn(a)
         assert [e.ctx.txn_id for e in access_list] == [2]
+
+
+class TestEmptySentinel:
+    """A record shares the frozen EMPTY_ACCESS_LIST until its first
+    publish; ``Record.publish_list`` is the one way to get a mutable list."""
+
+    def test_sentinel_cannot_be_mutated(self):
+        a = make_ctx(1)
+        with pytest.raises(AttributeError):
+            EMPTY_ACCESS_LIST.append(write_entry(a))
+        with pytest.raises(AttributeError):
+            EMPTY_ACCESS_LIST.insert_read_before_writes(read_entry(a, (0, 0)))
+        with pytest.raises(AttributeError):
+            EMPTY_ACCESS_LIST.insert_read_after_version(
+                read_entry(a, (0, 0)), (0, 0))
+        assert len(EMPTY_ACCESS_LIST) == 0
+
+    def test_sentinel_reads_as_empty(self):
+        a = make_ctx(1)
+        assert EMPTY_ACCESS_LIST.latest_visible_write() is None
+        assert EMPTY_ACCESS_LIST.latest_write_of(a) is None
+        assert EMPTY_ACCESS_LIST.predecessors_of_tail(a, False) == set()
+        assert EMPTY_ACCESS_LIST.txns_present() == set()
+        EMPTY_ACCESS_LIST.remove_txn(a)
+        assert list(EMPTY_ACCESS_LIST) == []
+
+    def test_fresh_record_shares_sentinel(self):
+        first = Record((1,), {"v": 0}, (0, 0))
+        second = Record((2,), None, (0, 1))
+        assert first.access_list is EMPTY_ACCESS_LIST
+        assert second.access_list is EMPTY_ACCESS_LIST
+
+    def test_publish_list_swaps_in_own_list_once(self):
+        record, other = Record((1,), {"v": 0}, (0, 0)), Record((2,), {}, (0, 1))
+        own = record.publish_list()
+        assert own is not EMPTY_ACCESS_LIST
+        assert record.access_list is own
+        assert record.publish_list() is own
+        assert other.publish_list() is not own
+        a = make_ctx(1)
+        own.append(write_entry(a))
+        assert record.access_list.latest_visible_write().ctx is a
+        assert len(EMPTY_ACCESS_LIST) == 0
