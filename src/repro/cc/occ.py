@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Generator, Optional, TYPE_CHECKING
 
 from ..errors import AbortReason, TransactionAborted, WorkloadError
-from ..obs.tracing import EventKind, TraceEvent
+from ..obs.tracing import FinalValidateEvent
 from ..sim.events import Cost, WaitFor, WaitKind
 from ..core import validation
 from ..core.context import ReadEntry, TxnContext, TxnStatus, WriteEntry
@@ -161,11 +161,9 @@ class SiloOCC(ConcurrencyControl):
         yield Cost(pending)
         worker = ctx.worker
         if worker is not None and worker.trace.enabled:
-            worker.trace.emit(TraceEvent(
-                worker.scheduler.now, EventKind.VALIDATE, worker.worker_id,
-                ctx.txn_id, ctx.type_name,
-                {"phase": "final", "reads": len(ctx.rset),
-                 "writes": len(ctx.wset)}))
+            worker.trace.emit(FinalValidateEvent(
+                worker.scheduler.now, worker.worker_id, ctx.txn_id,
+                ctx.type_name, len(ctx.rset), len(ctx.wset)))
         for rentry in ctx.rset.values():
             if rentry.record is None:
                 continue

@@ -34,7 +34,8 @@ from operator import attrgetter
 from typing import Generator, Iterable, Optional, TYPE_CHECKING
 
 from ..errors import AbortReason, PieceRetry, TransactionAborted, WorkloadError
-from ..obs.tracing import EventKind, TraceEvent
+from ..obs.tracing import (AccessEvent, EarlyValidateEvent, EventKind,
+                           FinalValidateEvent, TraceEvent)
 from ..sim.events import Cost, WaitFor, WaitKind
 from ..storage.access_list import AccessEntry, AccessKind
 from . import validation
@@ -320,13 +321,10 @@ class PolicyExecutor(ConcurrencyControl):
         # execution up to and including a")
         ctx.note_progress(self._progress_tables[ctx.type_index][op.access_id])
         if worker is not None and worker.trace.enabled:
-            worker.trace.emit(TraceEvent(
-                worker.scheduler.now, EventKind.ACCESS, worker.worker_id,
-                ctx.txn_id, ctx.type_name,
-                {"access_id": op.access_id, "table": op.table,
-                 "key": list(op.key) if getattr(op, "key", None) is not None
-                 else None,
-                 "op": type(op).__name__}))
+            worker.trace.emit(AccessEvent(
+                worker.scheduler.now, worker.worker_id, ctx.txn_id,
+                ctx.type_name, op.access_id, op.table,
+                getattr(op, "key", None), type(op).__name__))
         if isinstance(op, UpdateOp):
             return self._do_update(ctx, rows, op)
         if isinstance(op, ReadOp):
@@ -647,11 +645,9 @@ class PolicyExecutor(ConcurrencyControl):
         elapsed: doom checks over the buffered reads, then publication."""
         worker = ctx.worker
         if worker is not None and worker.trace.enabled:
-            worker.trace.emit(TraceEvent(
-                worker.scheduler.now, EventKind.VALIDATE, worker.worker_id,
-                ctx.txn_id, ctx.type_name,
-                {"phase": "early", "entries": n_entries,
-                 "publish": bool(publish_writes)}))
+            worker.trace.emit(EarlyValidateEvent(
+                worker.scheduler.now, worker.worker_id, ctx.txn_id,
+                ctx.type_name, n_entries, bool(publish_writes)))
         for entry in ctx.buffer:
             doom = validation.read_entry_doomed(ctx, entry)
             if doom is not None:
@@ -739,11 +735,9 @@ class PolicyExecutor(ConcurrencyControl):
         yield Cost(pending)
         worker = ctx.worker
         if worker is not None and worker.trace.enabled:
-            worker.trace.emit(TraceEvent(
-                worker.scheduler.now, EventKind.VALIDATE, worker.worker_id,
-                ctx.txn_id, ctx.type_name,
-                {"phase": "final", "reads": len(ctx.rset),
-                 "writes": len(ctx.wset)}))
+            worker.trace.emit(FinalValidateEvent(
+                worker.scheduler.now, worker.worker_id, ctx.txn_id,
+                ctx.type_name, len(ctx.rset), len(ctx.wset)))
         # step 3: validate the read set
         for rentry in ctx.rset.values():
             if rentry.record is None:

@@ -7,10 +7,11 @@ locks, backoff) emits typed :class:`TraceEvent` records into a
     if sink.enabled:
         sink.emit(TraceEvent(...))
 
-so with the default :data:`NULL_SINK` (whose ``enabled`` is ``False``) no
-event object is ever allocated — the only cost of a disabled tracer is one
-attribute load and a falsy branch per site, which is what keeps tracing
-zero-overhead-when-off on the simulator's hot path.
+(or one of the slotted per-access subclasses), so with the default
+:data:`NULL_SINK` (whose ``enabled`` is ``False``) no event object is ever
+allocated — the only cost of a disabled tracer is one attribute load and
+a falsy branch per site, which is what keeps tracing zero-overhead-when-off
+on the simulator's hot path.
 
 Timestamps are *simulated* ticks (1 tick = 1 microsecond), which maps
 one-to-one onto the Chrome trace-event format's microsecond ``ts`` field:
@@ -44,13 +45,14 @@ class EventKind:
 
     #: a worker starts one transaction attempt (attrs: attempt number)
     TX_START = "tx_start"
-    #: one data access by the policy executor (attrs: access_id, table, op)
+    #: one data access by the policy executor (:class:`AccessEvent`)
     ACCESS = "access"
     #: a worker parked on a wait (attrs: wait_kind, n_deps)
     WAIT_BEGIN = "wait_begin"
     #: a parked worker resumed (attrs: wait_kind, waited, outcome)
     WAIT_END = "wait_end"
-    #: an early or final validation ran (attrs: phase, entries)
+    #: an early or final validation ran (:class:`EarlyValidateEvent`,
+    #: :class:`FinalValidateEvent`)
     VALIDATE = "validate"
     #: a transaction attempt aborted (attrs: reason, attempt)
     ABORT = "abort"
@@ -121,15 +123,27 @@ class TraceEvent:
             data["txn"] = self.txn
         if self.txn_type is not None:
             data["type"] = self.txn_type
-        if self.attrs:
-            data["attrs"] = self.attrs
+        attrs = self.attrs
+        if attrs:
+            data["attrs"] = attrs
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceEvent":
-        return cls(float(data["ts"]), str(data["kind"]),
-                   int(data.get("worker", -1)), data.get("txn"),
-                   data.get("type"), data.get("attrs"))
+    @staticmethod
+    def from_dict(data: dict) -> "TraceEvent":
+        """Rebuild an event from :meth:`to_dict` output.  A ``type`` that
+        is not a string or ``attrs`` that is not an object is a
+        :class:`TypeError` (readers index both)."""
+        txn_type = data.get("type")
+        if txn_type is not None and not isinstance(txn_type, str):
+            raise TypeError(f"'type' must be a string, not "
+                            f"{type(txn_type).__name__}")
+        attrs = data.get("attrs")
+        if attrs is not None and not isinstance(attrs, dict):
+            raise TypeError(f"'attrs' must be an object, not "
+                            f"{type(attrs).__name__}")
+        return TraceEvent(float(data["ts"]), str(data["kind"]),
+                          int(data.get("worker", -1)), data.get("txn"),
+                          txn_type, attrs)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TraceEvent) and self.to_dict() == other.to_dict()
@@ -137,6 +151,106 @@ class TraceEvent:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"TraceEvent({self.ts}, {self.kind}, w{self.worker}"
                 + (f", txn={self.txn}" if self.txn is not None else "") + ")")
+
+
+# ---------------------------------------------------------------------- #
+# Per-access kinds: one event per data access or validation, ~90 % of a
+# policy-executor trace.  Each keeps its attrs values as slots (the key is
+# the operation's own tuple) and builds the ``attrs`` dict only when read,
+# so a buffered event costs one small object instead of an object, a dict
+# and a list.  ``attrs`` and ``to_dict()`` equal what a dict-carrying
+# TraceEvent of the same kind would give, key order included.  The kind is
+# fixed per class; the base ``attrs`` slot stays unused.
+
+
+class AccessEvent(TraceEvent):
+    """An :data:`EventKind.ACCESS` event.
+
+    attrs: ``access_id``, ``table``, ``key`` (a list, or ``None`` for a
+    scan) and ``op`` (the operation's class name)."""
+
+    __slots__ = ("access_id", "table", "key", "op")
+    kind = EventKind.ACCESS
+
+    def __init__(self, ts: float, worker: int, txn: Optional[int],
+                 txn_type: Optional[str], access_id: int, table: str,
+                 key: Optional[tuple], op: str) -> None:
+        self.ts = ts
+        self.worker = worker
+        self.txn = txn
+        self.txn_type = txn_type
+        self.access_id = access_id
+        self.table = table
+        self.key = key
+        self.op = op
+
+    @property
+    def attrs(self) -> dict:
+        key = self.key
+        return {"access_id": self.access_id, "table": self.table,
+                "key": list(key) if key is not None else None,
+                "op": self.op}
+
+    def __reduce__(self):
+        return (AccessEvent, (self.ts, self.worker, self.txn, self.txn_type,
+                              self.access_id, self.table, self.key, self.op))
+
+
+class EarlyValidateEvent(TraceEvent):
+    """An early-validation :data:`EventKind.VALIDATE` event.
+
+    attrs: ``phase`` (``"early"``), ``entries`` (buffered reads plus any
+    published writes) and ``publish`` (whether pending writes go public)."""
+
+    __slots__ = ("entries", "publish")
+    kind = EventKind.VALIDATE
+
+    def __init__(self, ts: float, worker: int, txn: Optional[int],
+                 txn_type: Optional[str], entries: int,
+                 publish: bool) -> None:
+        self.ts = ts
+        self.worker = worker
+        self.txn = txn
+        self.txn_type = txn_type
+        self.entries = entries
+        self.publish = publish
+
+    @property
+    def attrs(self) -> dict:
+        return {"phase": "early", "entries": self.entries,
+                "publish": self.publish}
+
+    def __reduce__(self):
+        return (EarlyValidateEvent, (self.ts, self.worker, self.txn,
+                                     self.txn_type, self.entries,
+                                     self.publish))
+
+
+class FinalValidateEvent(TraceEvent):
+    """A commit-time :data:`EventKind.VALIDATE` event.
+
+    attrs: ``phase`` (``"final"``), ``reads`` and ``writes`` (read- and
+    write-set sizes)."""
+
+    __slots__ = ("reads", "writes")
+    kind = EventKind.VALIDATE
+
+    def __init__(self, ts: float, worker: int, txn: Optional[int],
+                 txn_type: Optional[str], reads: int, writes: int) -> None:
+        self.ts = ts
+        self.worker = worker
+        self.txn = txn
+        self.txn_type = txn_type
+        self.reads = reads
+        self.writes = writes
+
+    @property
+    def attrs(self) -> dict:
+        return {"phase": "final", "reads": self.reads, "writes": self.writes}
+
+    def __reduce__(self):
+        return (FinalValidateEvent, (self.ts, self.worker, self.txn,
+                                     self.txn_type, self.reads, self.writes))
 
 
 class TraceSink:

@@ -13,12 +13,13 @@ restored individuals keep their fitness so no evaluation is repeated.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 from typing import Any, Optional
 
 from ..errors import CheckpointError
-from ..ioutil import atomic_write_json, load_json
+from ..ioutil import atomic_write_text, load_json
 
 #: current checkpoint format version
 CHECKPOINT_FORMAT_VERSION = 1
@@ -119,7 +120,11 @@ def save_checkpoint(directory: str, payload: dict) -> str:
     path = checkpoint_path(directory)
     document = dict(payload)
     document["format"] = CHECKPOINT_FORMAT_VERSION
-    atomic_write_json(path, document)
+    # one-shot, unindented json.dumps runs json's C encoder; an indented
+    # dump takes the pure-Python one (on an EA checkpoint ~4x the save
+    # time, ~5x the bytes).  No one edits a checkpoint by hand, and the
+    # loader reads either layout.
+    atomic_write_text(path, json.dumps(document))
     return path
 
 

@@ -106,6 +106,12 @@ class TestJsonl:
          "malformed trace event"),
         ('{"ts": 1.0, "kind": "access", "worker": null}',
          "malformed trace event"),
+        ('{"ts": 1.0, "kind": "access", "attrs": [1, 2]}',
+         "'attrs' must be an object"),
+        ('{"ts": 1.0, "kind": "wait_end", "attrs": "x"}',
+         "'attrs' must be an object"),
+        ('{"ts": 1.0, "kind": "access", "type": ["x"]}',
+         "'type' must be a string"),
     ])
     def test_malformed_event_names_its_line(self, tmp_path, line, detail):
         path = tmp_path / "bad.jsonl"

@@ -85,6 +85,22 @@ class TestReportRendering:
         assert err.startswith("error: ") and f"{bad}:4:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("line", [
+        '{"ts": 5.0, "kind": "access", "worker": 0, "attrs": [1, 2]}',
+        '{"ts": 5.0, "kind": "wait_end", "worker": 0, "attrs": "x"}',
+        '{"ts": 5.0, "kind": "access", "worker": 0, "type": ["x"], '
+        '"attrs": {"access_id": 1}}',
+    ])
+    def test_mistyped_event_field_fails_cleanly(self, artifacts, tmp_path,
+                                                capsys, line):
+        lines = open(artifacts["trace"]).read().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:3] + [line]) + "\n")
+        assert main(["report", "--trace", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{bad}:4:" in err
+        assert "Traceback" not in err
+
     def test_timeline_only_report(self, artifacts, capsys):
         assert main(["report", "--timeline", artifacts["timeline"]]) == 0
         out = capsys.readouterr().out

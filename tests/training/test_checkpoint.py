@@ -44,6 +44,19 @@ class TestCheckpointStore:
         data = load_checkpoint(directory)
         assert data["value"] == [1, 2, 3]
 
+    def test_written_compact_and_indented_still_loads(self, tmp_path):
+        directory = str(tmp_path)
+        path = save_checkpoint(directory, {"trainer": "ea",
+                                           "value": [1, {"x": 2.5}]})
+        with open(path) as fh:
+            text = fh.read()
+        document = json.loads(text)
+        assert text == json.dumps(document)  # one line, C-encoder layout
+        # earlier builds wrote checkpoints with indent=2
+        with open(path, "w") as fh:
+            json.dump(document, fh, indent=2)
+        assert load_checkpoint(directory, expect_trainer="ea") == document
+
     def test_missing_checkpoint(self, tmp_path):
         assert not has_checkpoint(str(tmp_path))
         with pytest.raises(CheckpointError, match="no checkpoint"):
