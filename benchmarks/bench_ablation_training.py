@@ -14,12 +14,12 @@ enough to compare configurations, not to fully converge.
 """
 
 from repro.core.backoff import BackoffPolicy
-from repro.training import EAConfig, EvolutionaryTrainer, FitnessEvaluator
+from repro.training import EAConfig, EvolutionaryTrainer
 from repro.workloads.tpcc import make_tpcc_factory, tpcc_spec
 from repro.workloads.tpce import make_tpce_factory
 
-from .common import (PROF, ea_config, emit, fitness_config, measure,
-                     sim_config, table, trained_tpce)
+from .common import (PROF, ea_config, emit, evaluator, measure, sim_config,
+                     table, trained_tpce)
 
 ITERATIONS = max(2, PROF.ea_iterations // 5)
 
@@ -27,13 +27,12 @@ ITERATIONS = max(2, PROF.ea_iterations // 5)
 def train_with(**overrides):
     spec = tpcc_spec()
     factory = make_tpcc_factory(n_warehouses=1, seed=PROF.seed)
-    evaluator = FitnessEvaluator(factory, fitness_config())
     base = ea_config(iterations=ITERATIONS)
     config = EAConfig(iterations=base.iterations,
                       population_size=base.population_size,
                       children_per_parent=base.children_per_parent,
                       seed=base.seed, **overrides)
-    trainer = EvolutionaryTrainer(spec, evaluator, config)
+    trainer = EvolutionaryTrainer(spec, evaluator(factory), config)
     return trainer.train()
 
 

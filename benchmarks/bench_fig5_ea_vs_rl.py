@@ -7,11 +7,11 @@ probability, as §7.5 describes.
 """
 
 from repro.cc.ic3 import ic3_policy
-from repro.training import (EvolutionaryTrainer, FitnessEvaluator,
-                            PolicyGradientTrainer, RLConfig)
+from repro.training import (EvolutionaryTrainer, PolicyGradientTrainer,
+                            RLConfig)
 from repro.workloads.tpcc import make_tpcc_factory, tpcc_spec
 
-from .common import PROF, ea_config, emit, fitness_config, table
+from .common import PROF, ea_config, emit, evaluator, table
 
 ITERATIONS = max(4, PROF.ea_iterations // 2)
 
@@ -20,13 +20,12 @@ def run_experiment():
     spec = tpcc_spec()
     factory = make_tpcc_factory(n_warehouses=1, seed=PROF.seed)
 
-    ea_eval = FitnessEvaluator(factory, fitness_config())
-    ea = EvolutionaryTrainer(spec, ea_eval, ea_config(iterations=ITERATIONS))
+    ea = EvolutionaryTrainer(spec, evaluator(factory),
+                             ea_config(iterations=ITERATIONS))
     ea_result = ea.train()
 
-    rl_eval = FitnessEvaluator(factory, fitness_config())
     rl = PolicyGradientTrainer(
-        spec, rl_eval,
+        spec, evaluator(factory),
         RLConfig(iterations=ITERATIONS,
                  batch_size=PROF.ea_population * (PROF.ea_children + 1),
                  seed=PROF.seed + 3),

@@ -9,10 +9,10 @@ we run the contended point and a moderate one).
 """
 
 from repro.core import actions
-from repro.training import EvolutionaryTrainer, FitnessEvaluator
+from repro.training import EvolutionaryTrainer
 from repro.workloads.tpcc import make_tpcc_factory, tpcc_spec
 
-from .common import PROF, ea_config, fitness_config, measure, sim_config, table
+from .common import PROF, ea_config, evaluator, measure, sim_config, table
 
 STEP_ITERATIONS = max(2, PROF.ea_iterations // 5)
 
@@ -81,8 +81,7 @@ def run_experiment():
                                     seed=PROF.seed)
         config = sim_config()
         for label, mask in STEPS:
-            evaluator = FitnessEvaluator(factory, fitness_config())
-            trainer = EvolutionaryTrainer(spec, evaluator,
+            trainer = EvolutionaryTrainer(spec, evaluator(factory),
                                           ea_config(iterations=STEP_ITERATIONS),
                                           action_mask=mask)
             result = trainer.train()

@@ -43,7 +43,7 @@ def run(jobs: int):
         FitnessEvaluator(factory,
                          SimConfig(n_workers=8, duration=FITNESS_DURATION,
                                    seed=SEED, collect_latency=False)),
-        jobs=jobs, run_seed=SEED)
+        jobs=jobs)
     trainer = EvolutionaryTrainer(
         spec, engine,
         EAConfig(population_size=4, children_per_parent=2,

@@ -31,7 +31,8 @@ from repro.bench.runner import run_named, run_protocol
 from repro.obs import MetricsRegistry
 from repro.core.backoff import BackoffPolicy
 from repro.core.policy import CCPolicy
-from repro.training import EAConfig, EvolutionaryTrainer, FitnessEvaluator
+from repro.training import (EAConfig, EvolutionaryTrainer, FitnessEvaluator,
+                            ParallelEvaluationEngine)
 from repro.workloads.micro import make_micro_factory
 from repro.workloads.micro.workload import micro_spec
 from repro.workloads.tpcc import make_tpcc_factory, tpcc_spec
@@ -101,6 +102,13 @@ def fitness_config(n_workers=None, duration=None, seed=None) -> SimConfig:
         collect_latency=False)
 
 
+def evaluator(workload_factory, fitness_cfg=None) -> ParallelEvaluationEngine:
+    """The fitness evaluator `repro train` uses, over the bench's fitness
+    configuration."""
+    return ParallelEvaluationEngine(
+        FitnessEvaluator(workload_factory, fitness_cfg or fitness_config()))
+
+
 def ea_config(iterations=None, seed=None, **kwargs) -> EAConfig:
     return EAConfig(
         iterations=iterations if iterations is not None else PROF.ea_iterations,
@@ -127,9 +135,9 @@ def train_or_load(tag: str, spec, workload_factory, fitness_cfg=None,
         policy = CCPolicy.load(spec, str(policy_path))
         backoff = BackoffPolicy.from_json(backoff_path.read_text())
         return policy, backoff
-    evaluator = FitnessEvaluator(workload_factory,
-                                 fitness_cfg or fitness_config())
-    trainer = EvolutionaryTrainer(spec, evaluator, ea_config(iterations))
+    trainer = EvolutionaryTrainer(spec, evaluator(workload_factory,
+                                                  fitness_cfg),
+                                  ea_config(iterations))
     result = trainer.train()
     policy = result.best_policy
     policy.name = f"polyjuice-{tag}"

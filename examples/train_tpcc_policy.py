@@ -19,7 +19,8 @@ import time
 
 from repro import CCPolicy, SimConfig, run_named
 from repro.core.backoff import BackoffPolicy
-from repro.training import EAConfig, EvolutionaryTrainer, FitnessEvaluator
+from repro.training import (EAConfig, EvolutionaryTrainer, FitnessEvaluator,
+                            ParallelEvaluationEngine)
 from repro.workloads.tpcc import make_tpcc_factory, tpcc_spec
 
 POLICY_PATH = "trained_tpcc_policy.json"
@@ -33,7 +34,9 @@ def main() -> None:
 
     fitness_cfg = SimConfig(n_workers=16, duration=3_000, seed=7,
                             collect_latency=False)
-    evaluator = FitnessEvaluator(factory, fitness_cfg)
+    # the evaluator `repro train` uses: same seeds, same trajectory
+    evaluator = ParallelEvaluationEngine(FitnessEvaluator(factory,
+                                                          fitness_cfg))
     trainer = EvolutionaryTrainer(
         spec, evaluator,
         EAConfig(iterations=iterations, population_size=5,

@@ -414,15 +414,14 @@ def _make_trainer(args, spec, factory, metrics):
     fitness_cfg = SimConfig(n_workers=args.workers,
                             duration=args.fitness_duration,
                             seed=args.seed, collect_latency=False)
-    # the engine handles retry/timeout/fallback (ResilientEvaluator
-    # semantics) with subprocess kills, and fans evaluations out over
-    # --jobs worker processes; --jobs 1 and --jobs N are bit-identical
+    # the engine handles retry/timeout/fallback with subprocess kills and
+    # fans evaluations out over --jobs worker processes; --jobs 1 and
+    # --jobs N are bit-identical
     evaluator = ParallelEvaluationEngine(
         FitnessEvaluator(factory, fitness_cfg),
         jobs=resolve_jobs(getattr(args, "jobs", 1)),
         max_retries=args.eval_retries,
         timeout=args.eval_timeout,
-        run_seed=args.seed,
         metrics=metrics)
     if args.trainer == "rl":
         try:

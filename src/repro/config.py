@@ -344,8 +344,6 @@ class SimConfig:
         cost: the cost model.
         collect_latency: record per-transaction latencies (needed for
             Table 2; slight memory cost otherwise).
-        deadlock_check_interval: how often (ticks) the scheduler scans the
-            wait-for graph for commit-wait cycles.
         max_retries: safety valve for tests; ``None`` retries forever as in
             the paper's methodology.
         watchdog_window: progress watchdog — if no transaction commits for
@@ -375,7 +373,6 @@ class SimConfig:
     seed: int = 42
     cost: CostModel = field(default_factory=CostModel)
     collect_latency: bool = True
-    deadlock_check_interval: float = 50.0
     max_retries: Optional[int] = None
     watchdog_window: Optional[float] = None
     watchdog_action: str = "abort_oldest"
@@ -390,8 +387,6 @@ class SimConfig:
             raise ConfigError("duration must be positive")
         if self.warmup < 0 or self.warmup >= self.duration:
             raise ConfigError("warmup must lie in [0, duration)")
-        if self.deadlock_check_interval <= 0:
-            raise ConfigError("deadlock_check_interval must be positive")
         if self.max_retries is not None and self.max_retries < 0:
             raise ConfigError("max_retries must be None or >= 0")
         if self.watchdog_window is not None and self.watchdog_window <= 0:

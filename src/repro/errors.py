@@ -79,15 +79,14 @@ class WorkloadError(ReproError):
 
 
 class TrainingError(ReproError):
-    """A trainer was configured or driven incorrectly."""
+    """A trainer or its evaluation engine was configured or driven
+    incorrectly, or a fitness evaluation kept failing.
 
-
-class EvaluationTimeout(TrainingError):
-    """A fitness evaluation overran its wall-clock budget and its worker
-    process was killed.  Derives from :class:`TrainingError` (and hence
-    :class:`ReproError`) so the retry loop in
-    :class:`~repro.training.fitness.ResilientEvaluator` and the process-pool
-    engine treat it as one more transient failure."""
+    :class:`~repro.training.parallel.ParallelEvaluationEngine` retries a
+    failed attempt — one that raised a :class:`ReproError`, overran its
+    timeout (the worker process is killed) or whose worker died — up to
+    ``max_retries`` times; when every attempt failed and no
+    ``fallback_fitness`` is set it raises this error."""
 
 
 class CheckpointError(TrainingError):

@@ -254,9 +254,14 @@ class _CriticalPath:
                 # given-up predecessor on this worker
                 self.spans[worker] = _Span()
         elif kind == EventKind.WAIT_END:
+            wait_kind = attrs.get("wait_kind", UNKNOWN)
+            if not isinstance(wait_kind, str):
+                # a column name downstream; a number would only fail later,
+                # unattributable, when the columns are sorted
+                raise TypeError(f"wait_kind must be a string, not "
+                                f"{type(wait_kind).__name__}")
             span = self.spans.get(worker)
             if span is not None:
-                wait_kind = attrs.get("wait_kind", UNKNOWN)
                 span.waits[wait_kind] = span.waits.get(wait_kind, 0.0) \
                     + attrs.get("waited", 0.0)
         elif kind == EventKind.BACKOFF:

@@ -24,7 +24,7 @@ from ..errors import ReproError
 from .insight import _ConflictAttribution, _CriticalPath, _PolicyAudit
 from .metrics import load_metrics_json
 from .timeline import TimelineSampler, load_timeline_json
-from .tracing import EventKind, TraceEvent, iter_jsonl
+from .tracing import EventKind, TraceEvent, _iter_numbered_jsonl
 
 # build_report calls none of these; they stay importable from this module
 # because the benchmark harness (benchmarks/harness/child.py) wraps them
@@ -90,10 +90,18 @@ def _analyse_trace(path: str, top_k: int, policy,
         folds["timeline"] = _TimelineFold()
     feeds = [fold.feed for fold in folds.values()]
     count = 0
-    for event in iter_jsonl(path):
+    for lineno, event in _iter_numbered_jsonl(path):
         count += 1
-        for feed in feeds:
-            feed(event)
+        try:
+            for feed in feeds:
+                feed(event)
+        except (AttributeError, TypeError, ValueError) as exc:
+            # the reader checks an event's fields, not its attrs values:
+            # a wrong-typed one (a list access_id, a list wait_kind) is
+            # a bad artifact, reported like any other malformed line
+            raise ReproError(
+                f"{path}:{lineno}: wrong-typed attrs value in "
+                f"{event.kind} event: {exc}") from exc
     out: dict = {"trace_events": count}
     for name, fold in folds.items():
         result = fold.result()

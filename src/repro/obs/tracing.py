@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from typing import (Dict, IO, Iterable, Iterator, List, Optional, Sequence,
-                    Union)
+                    Tuple, Union)
 
 from ..errors import ReproError
 
@@ -349,6 +349,13 @@ def iter_jsonl(path: str) -> Iterator[TraceEvent]:
     (pre-versioning traces) are accepted as version 1.  A line that is
     not a JSON object, lacks ``ts`` or ``kind``, or carries a non-numeric
     ``ts`` / ``worker`` is a :class:`ReproError` naming its line number."""
+    for _, event in _iter_numbered_jsonl(path):
+        yield event
+
+
+def _iter_numbered_jsonl(path: str) -> Iterator[Tuple[int, TraceEvent]]:
+    """:func:`iter_jsonl` with each event's line number, so a consumer can
+    name ``path:line`` when an event's attrs values turn out wrong-typed."""
     first = True
     try:
         fh = open(path)
@@ -390,7 +397,7 @@ def iter_jsonl(path: str) -> Iterator[TraceEvent]:
             except (TypeError, ValueError) as exc:
                 raise ReproError(f"{path}:{lineno}: malformed trace event: "
                                  f"{exc}") from exc
-            yield event
+            yield lineno, event
 
 
 # ---------------------------------------------------------------------- #

@@ -23,7 +23,8 @@ _SPAWN_STRIDE = 0x9E3779B97F4A7C15  # golden-ratio increment, decorrelates child
 
 #: salt for spawning per-evaluation simulator seeds during training.  The
 #: process-pool evaluation engine derives evaluation *i*'s simulator seed as
-#: ``derive_seed(run_seed, EVAL_RNG_SALT, i)``; because the index is assigned
+#: ``derive_seed(config.seed, EVAL_RNG_SALT, i)`` (the fitness config's
+#: seed); because the index is assigned
 #: in deterministic submission order, ``--jobs 1`` and ``--jobs N`` hand every
 #: evaluation the same seed and produce bit-identical training artifacts.
 #: Kept well away from worker ids (small ints) and ``FAULT_RNG_SALT``.

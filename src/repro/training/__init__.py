@@ -17,8 +17,7 @@ from .checkpoint import (CHECKPOINT_FORMAT_VERSION, has_checkpoint,
                          load_checkpoint, save_checkpoint)
 from .ea import (EAConfig, EvolutionaryTrainer, Individual, TrainingResult,
                  evaluate_pending)
-from .fitness import (HARD_TIMEOUTS_SUPPORTED, FitnessEvaluator,
-                      ResilientEvaluator, call_with_hard_timeout)
+from .fitness import FitnessEvaluator
 from .parallel import ParallelEvaluationEngine
 
 __all__ = [
@@ -26,14 +25,11 @@ __all__ = [
     "EAConfig",
     "EvolutionaryTrainer",
     "FitnessEvaluator",
-    "HARD_TIMEOUTS_SUPPORTED",
     "Individual",
     "ParallelEvaluationEngine",
     "PolicyGradientTrainer",
     "RLConfig",
-    "ResilientEvaluator",
     "TrainingResult",
-    "call_with_hard_timeout",
     "evaluate_pending",
     "has_checkpoint",
     "load_checkpoint",

@@ -64,46 +64,36 @@ def decode_np_rng(data: Any, np_rng) -> None:
 # disk format
 
 
-def encode_evaluator_state(evaluator) -> dict:
-    """The evaluator counters a checkpoint must carry.
+def encode_evaluator_state(engine) -> dict:
+    """The evaluation-engine state a checkpoint must carry.
 
     ``evaluations`` restores the cost accounting; ``eval_seeds_issued``
-    (present when the evaluator is a
-    :class:`~repro.training.parallel.ParallelEvaluationEngine`) restores
-    the per-evaluation seed stream so a resumed run hands every future
-    evaluation the same simulator seed the uninterrupted run would have —
-    the identical-trajectory guarantee holds even across a ``--jobs``
-    change at the checkpoint boundary.
+    restores the per-evaluation seed stream of the
+    :class:`~repro.training.parallel.ParallelEvaluationEngine`, so a
+    resumed run hands every future evaluation the same simulator seed the
+    uninterrupted run would have — the identical-trajectory guarantee holds
+    even across a ``--jobs`` change at the checkpoint boundary.  The cache
+    content is trajectory state too: the hit/miss stream decides which
+    seed each future miss receives.
     """
-    state = {"evaluations": int(getattr(evaluator, "evaluations", 0))}
-    seeds_issued = getattr(evaluator, "seeds_issued", None)
-    if seeds_issued is not None:
-        state["eval_seeds_issued"] = int(seeds_issued)
-    cache_state = getattr(evaluator, "cache_state", None)
-    if cache_state is not None:
-        entries = cache_state()
-        if entries is not None:
-            # the hit/miss stream decides which seed each future miss
-            # receives, so the cache content is trajectory state too
-            state["eval_cache"] = entries
-    return state
+    return {"evaluations": engine.evaluations,
+            "eval_seeds_issued": engine.seeds_issued,
+            "eval_cache": engine.cache_state()}
 
 
-def restore_evaluator_state(evaluator, data: dict) -> None:
-    """Restore counters written by :func:`encode_evaluator_state`.
+def restore_evaluator_state(engine, data: dict) -> None:
+    """Restore the state written by :func:`encode_evaluator_state`.
 
     Tolerates checkpoints from before the process-pool engine (no
     ``eval_seeds_issued`` key): the seed counter falls back to the
     evaluation count, which is what it equals on any failure-free run.
     """
     try:
-        evaluator.evaluations = int(data.get("evaluations", 0))
-        if hasattr(evaluator, "seeds_issued"):
-            evaluator.seeds_issued = int(
-                data.get("eval_seeds_issued", data.get("evaluations", 0)))
-        restore = getattr(evaluator, "restore_cache", None)
-        if restore is not None and "eval_cache" in data:
-            restore(data["eval_cache"])
+        engine.evaluations = int(data.get("evaluations", 0))
+        engine.seeds_issued = int(
+            data.get("eval_seeds_issued", engine.evaluations))
+        if "eval_cache" in data:
+            engine.restore_cache(data["eval_cache"])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(
             f"corrupt evaluator state in checkpoint: {exc}") from exc

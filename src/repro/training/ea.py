@@ -31,27 +31,21 @@ from .checkpoint import (CheckpointError, decode_py_rng,
                          encode_evaluator_state, encode_py_rng,
                          load_checkpoint, restore_evaluator_state,
                          save_checkpoint)
-from .fitness import FitnessEvaluator
+from .parallel import ParallelEvaluationEngine
 
 
-def evaluate_pending(evaluator, individuals: Sequence["Individual"]) -> None:
+def evaluate_pending(evaluator: ParallelEvaluationEngine,
+                     individuals: Sequence["Individual"]) -> None:
     """Fill in ``fitness`` for every not-yet-evaluated individual.
 
-    The whole generation is handed to the evaluator as one batch so a
-    :class:`~repro.training.parallel.ParallelEvaluationEngine` can fan it
-    out across worker processes; plain evaluators (or any duck-typed stub
-    without ``evaluate_batch``) are driven serially in the same order.
+    The whole generation is handed to the engine as one batch so it can fan
+    it out across worker processes.
     """
     pending = [ind for ind in individuals if ind.fitness is None]
     if not pending:
         return
-    pairs = [(ind.policy, ind.backoff) for ind in pending]
-    batch = getattr(evaluator, "evaluate_batch", None)
-    if batch is not None:
-        fitnesses = batch(pairs)
-    else:
-        fitnesses = [evaluator.evaluate(policy, backoff)
-                     for policy, backoff in pairs]
+    fitnesses = evaluator.evaluate_batch(
+        [(ind.policy, ind.backoff) for ind in pending])
     for individual, fitness in zip(pending, fitnesses):
         individual.fitness = fitness
 
@@ -165,7 +159,8 @@ def default_backoff(n_types: int) -> BackoffPolicy:
 class EvolutionaryTrainer:
     """The paper's EA search over (CC policy, backoff policy) pairs."""
 
-    def __init__(self, spec: WorkloadSpec, evaluator: FitnessEvaluator,
+    def __init__(self, spec: WorkloadSpec,
+                 evaluator: ParallelEvaluationEngine,
                  config: Optional[EAConfig] = None,
                  action_mask: Optional[Callable] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:

@@ -2,139 +2,27 @@
 
 The paper measures each candidate policy's commit throughput by replaying
 the target workload (§5); we run the policy through the simulator under a
-fixed evaluation configuration.  Evaluations are deterministic given the
-config seed, so results are cached by policy content hash — re-evaluating
-survivors across EA generations is free.
+fixed evaluation configuration.
 
-:class:`FitnessEvaluator` is split into a *pure* part and a *stateful*
-part: :meth:`FitnessEvaluator.compute` runs one simulation and touches no
-shared state (so it is safe to execute in a forked worker process), while
-the cache and the ``evaluations`` / ``cache_hits`` counters are only ever
-mutated in the parent, exactly once per logical result.
-
-:class:`ResilientEvaluator` wraps an evaluator for long unattended training
-runs: it retries transient :class:`~repro.errors.ReproError` failures,
-optionally bounds each evaluation's wall-clock time, and can substitute a
-fallback fitness instead of killing the whole run.  Timeouts are enforced
-with a **subprocess kill** (:func:`call_with_hard_timeout`), not a thread:
-an abandoned daemon thread would keep simulating in the background,
-mutating the evaluator's counters concurrently with the retry and
-double-counting the attempt when it eventually finished — a killed child
-process can do neither.  On the (non-POSIX) platforms without the ``fork``
-start method the call runs inline and the timeout is not enforced; see
-:data:`HARD_TIMEOUTS_SUPPORTED`.
+:class:`FitnessEvaluator` is only what a forked evaluation worker needs:
+the workload factory, the evaluation config, an optional fault plan and
+the pure :meth:`FitnessEvaluator.compute`, which runs one simulation and
+touches no shared state.  Everything stateful — the content cache, the
+evaluation counters, the per-evaluation seed stream, retry / timeout /
+fallback and metrics — belongs to the one evaluator the trainers accept,
+:class:`~repro.training.parallel.ParallelEvaluationEngine`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional
 
 from ..config import SimConfig
 from ..bench.runner import run_protocol
 from ..core.backoff import BackoffPolicy
 from ..core.executor import PolicyExecutor
 from ..core.policy import CCPolicy
-from ..errors import EvaluationTimeout, ReproError, TrainingError
-
-
-def _listify(obj):
-    """Tuples -> lists, recursively (cache keys -> JSON)."""
-    if isinstance(obj, tuple):
-        return [_listify(item) for item in obj]
-    return obj
-
-
-def _tuplify(obj):
-    """Lists -> tuples, recursively (JSON -> hashable cache keys)."""
-    if isinstance(obj, list):
-        return tuple(_tuplify(item) for item in obj)
-    return obj
-
-
-#: True when the platform can enforce evaluation timeouts by killing a
-#: forked worker process.  ``fork`` keeps closures (workload factories)
-#: usable in the child without pickling; without it, timed calls degrade to
-#: inline execution with no enforcement.
-HARD_TIMEOUTS_SUPPORTED = \
-    "fork" in multiprocessing.get_all_start_methods()
-
-
-def evaluation_context():
-    """The multiprocessing context used for evaluation workers, or ``None``
-    when subprocess isolation is unavailable on this platform."""
-    if not HARD_TIMEOUTS_SUPPORTED:
-        return None
-    return multiprocessing.get_context("fork")
-
-
-def _child_main(fn: Callable[[], object], conn) -> None:
-    """Worker-process entry point: run ``fn`` and ship the outcome back.
-
-    The payload is ``("ok", value)`` on success and ``("err", exc)`` on
-    failure; exceptions that cannot be pickled degrade to
-    ``("errstr", repr)`` so the parent still learns what happened.
-    """
-    try:
-        payload = ("ok", fn())
-    except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        payload = ("err", exc)
-    try:
-        conn.send(payload)
-    except Exception:
-        try:
-            conn.send(("errstr", repr(payload[1])))
-        except Exception:  # pragma: no cover - pipe gone, parent sees EOF
-            pass
-    finally:
-        conn.close()
-
-
-def receive_outcome(conn, process) -> object:
-    """Decode a ``_child_main`` payload; raises the child's exception."""
-    try:
-        status, payload = conn.recv()
-    except Exception as exc:  # EOF / unpicklable payload / torn pipe
-        raise TrainingError(
-            f"evaluation worker died without a result "
-            f"(exit code {process.exitcode}): {exc!r}") from None
-    if status == "ok":
-        return payload
-    if status == "errstr":
-        raise TrainingError(f"evaluation worker failed: {payload}")
-    raise payload  # "err": the child's original exception
-
-
-def call_with_hard_timeout(fn: Callable[[], object],
-                           timeout: float) -> object:
-    """Run ``fn()`` in a forked child; kill the child at ``timeout``.
-
-    Raises :class:`~repro.errors.EvaluationTimeout` after the kill — the
-    child is SIGKILLed and reaped, so no computation survives in the
-    background.  Exceptions raised by ``fn`` in the child re-raise here.
-    On platforms without ``fork`` the call runs inline (no enforcement).
-    """
-    ctx = evaluation_context()
-    if ctx is None:  # pragma: no cover - non-POSIX fallback
-        return fn()
-    recv, send = ctx.Pipe(duplex=False)
-    process = ctx.Process(target=_child_main, args=(fn, send), daemon=True)
-    process.start()
-    send.close()  # parent keeps only the read end
-    try:
-        if not recv.poll(timeout):
-            process.kill()
-            process.join()
-            raise EvaluationTimeout(
-                f"fitness evaluation exceeded {timeout}s timeout "
-                "(worker process killed)")
-        return receive_outcome(recv, process)
-    finally:
-        if process.is_alive():  # pragma: no cover - defensive cleanup
-            process.kill()
-        process.join()
-        recv.close()
 
 
 class FitnessEvaluator:
@@ -146,205 +34,21 @@ class FitnessEvaluator:
     """
 
     def __init__(self, workload_factory: Callable, config: SimConfig,
-                 cache: bool = True, fault_plan=None) -> None:
+                 fault_plan=None) -> None:
         self.workload_factory = workload_factory
         self.config = config
         self.fault_plan = fault_plan
-        self._cache: Optional[Dict[Tuple[tuple, tuple], float]] = \
-            {} if cache else None
-        #: number of actual simulator runs performed (cache misses)
-        self.evaluations = 0
-        #: number of cache hits
-        self.cache_hits = 0
 
-    # ------------------------------------------------------------------ #
-    # cache protocol — all mutation happens in the parent process
+    def compute(self, policy: CCPolicy, backoff: Optional[BackoffPolicy],
+                seed: int) -> float:
+        """Simulated commit throughput (TPS) of one run under ``seed``.
 
-    def cache_key(self, policy: CCPolicy,
-                  backoff: Optional[BackoffPolicy]) -> Optional[tuple]:
-        """Content key for the candidate, or ``None`` when caching is off."""
-        if self._cache is None:
-            return None
-        return (policy.as_tuple(),
-                backoff.as_tuple() if backoff is not None else ())
-
-    def cached(self, key: Optional[tuple]) -> Optional[float]:
-        """Cache lookup *without* counter side effects."""
-        if self._cache is None or key is None:
-            return None
-        return self._cache.get(key)
-
-    def store(self, key: Optional[tuple], value: float) -> None:
-        if self._cache is not None and key is not None:
-            self._cache[key] = value
-
-    def cache_state(self) -> Optional[list]:
-        """JSON-safe snapshot of the content cache (``None`` = caching off).
-
-        Checkpointed alongside the evaluation counters: with per-evaluation
-        seeding, whether a candidate is a hit or a miss decides which seed
-        the *next* miss receives, so a resumed run must see the exact cache
-        the interrupted run had or its trajectory diverges from the
-        uninterrupted one as soon as a duplicate candidate appears.
+        Pure — no cache, no counters — so it is safe to call in a forked
+        worker process; the engine derives ``seed`` per evaluation.
         """
-        if self._cache is None:
-            return None
-        return [[_listify(key), value] for key, value in self._cache.items()]
-
-    def restore_cache(self, entries) -> None:
-        """Restore a :meth:`cache_state` snapshot (no-op if caching off)."""
-        if self._cache is None or entries is None:
-            return
-        self._cache.clear()
-        for key, value in entries:
-            self._cache[_tuplify(key)] = float(value)
-
-    # ------------------------------------------------------------------ #
-
-    def compute(self, policy: CCPolicy,
-                backoff: Optional[BackoffPolicy] = None,
-                seed: Optional[int] = None) -> float:
-        """One simulator run; pure — no cache, no counters.
-
-        Safe to call in a forked worker process.  ``seed`` overrides the
-        evaluation config's seed (the process-pool engine derives one per
-        evaluation index).
-        """
-        config = self.config if seed is None \
-            else dataclasses.replace(self.config, seed=seed)
+        config = dataclasses.replace(self.config, seed=seed)
         cc = PolicyExecutor(policy=policy, backoff_policy=backoff)
         result = run_protocol(self.workload_factory, cc, config,
                               check_invariants=False,
                               fault_plan=self.fault_plan)
         return result.throughput
-
-    def evaluate(self, policy: CCPolicy,
-                 backoff: Optional[BackoffPolicy] = None) -> float:
-        """Simulated commit throughput (TPS) of the candidate."""
-        key = self.cache_key(policy, backoff)
-        cached = self.cached(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        throughput = self.compute(policy, backoff)
-        self.evaluations += 1
-        self.store(key, throughput)
-        return throughput
-
-    def evaluate_batch(self, pairs) -> list:
-        """Serial batch evaluation (the process-pool engine overrides the
-        strategy; the interface lets trainers stay evaluator-agnostic)."""
-        return [self.evaluate(policy, backoff) for policy, backoff in pairs]
-
-
-class ResilientEvaluator:
-    """Retry-with-timeout wrapper around a :class:`FitnessEvaluator`.
-
-    Drop-in replacement (same ``evaluate`` signature, proxied
-    ``evaluations`` / ``cache_hits`` counters) that makes long unattended
-    training runs survive transient evaluation failures:
-
-    * a :class:`~repro.errors.ReproError` from the inner evaluator is
-      retried up to ``max_retries`` times;
-    * if ``timeout`` (wall-clock seconds) is set, the evaluation runs in a
-      forked worker process that is **killed** when it overruns — the
-      attempt counts as a failure and nothing keeps running in the
-      background (see :func:`call_with_hard_timeout`);
-    * once retries are exhausted, ``fallback_fitness`` (if set) is returned
-      so training continues with the candidate scored as useless, else
-      :class:`~repro.errors.TrainingError` is raised.
-
-    Because the timed attempt runs in a child process, the inner
-    evaluator's cache and counters are only touched here, in the parent,
-    after a successful result is received — exactly once per logical
-    attempt, no matter how the attempt ended.
-    """
-
-    def __init__(self, inner: FitnessEvaluator, max_retries: int = 2,
-                 timeout: Optional[float] = None,
-                 fallback_fitness: Optional[float] = None) -> None:
-        if max_retries < 0:
-            raise TrainingError("max_retries must be >= 0")
-        if timeout is not None and timeout <= 0:
-            raise TrainingError("timeout must be None or positive")
-        self.inner = inner
-        self.max_retries = max_retries
-        self.timeout = timeout
-        self.fallback_fitness = fallback_fitness
-        #: failure accounting, exposed for tests and post-run reports
-        self.retries = 0
-        self.failures = 0
-        self.timeouts = 0
-        self.fallbacks_used = 0
-
-    # the trainers read (and on resume, restore) these counters
-    @property
-    def evaluations(self) -> int:
-        return self.inner.evaluations
-
-    @evaluations.setter
-    def evaluations(self, value: int) -> None:
-        self.inner.evaluations = value
-
-    @property
-    def cache_hits(self) -> int:
-        return self.inner.cache_hits
-
-    def cache_state(self) -> Optional[list]:
-        state = getattr(self.inner, "cache_state", None)
-        return state() if state is not None else None
-
-    def restore_cache(self, entries) -> None:
-        restore = getattr(self.inner, "restore_cache", None)
-        if restore is not None:
-            restore(entries)
-
-    def _attempt(self, policy: CCPolicy,
-                 backoff: Optional[BackoffPolicy]) -> float:
-        if self.timeout is None:
-            return self.inner.evaluate(policy, backoff)
-        # cache bookkeeping happens here in the parent; only the pure
-        # simulation crosses the process boundary
-        key = None
-        cache_key = getattr(self.inner, "cache_key", None)
-        if cache_key is not None:
-            key = cache_key(policy, backoff)
-            cached = self.inner.cached(key)
-            if cached is not None:
-                self.inner.cache_hits += 1
-                return cached
-        compute = getattr(self.inner, "compute", None)
-        if compute is not None:
-            fn = lambda: compute(policy, backoff)  # noqa: E731
-        else:  # duck-typed inner (tests): child runs its evaluate()
-            fn = lambda: self.inner.evaluate(policy, backoff)  # noqa: E731
-        try:
-            value = call_with_hard_timeout(fn, self.timeout)
-        except EvaluationTimeout:
-            self.timeouts += 1
-            raise
-        self.inner.evaluations += 1
-        if key is not None:
-            self.inner.store(key, value)
-        return value
-
-    def evaluate(self, policy: CCPolicy,
-                 backoff: Optional[BackoffPolicy] = None) -> float:
-        last_error: Optional[BaseException] = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                return self._attempt(policy, backoff)
-            except ReproError as exc:
-                last_error = exc
-                if attempt < self.max_retries:
-                    self.retries += 1
-        self.failures += 1
-        if self.fallback_fitness is not None:
-            self.fallbacks_used += 1
-            return self.fallback_fitness
-        raise TrainingError(
-            f"fitness evaluation failed after {self.max_retries + 1} "
-            f"attempts: {last_error}") from last_error
-
-    def evaluate_batch(self, pairs) -> list:
-        return [self.evaluate(policy, backoff) for policy, backoff in pairs]

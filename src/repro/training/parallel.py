@@ -1,32 +1,34 @@
-"""Process-pool fitness evaluation engine (the trainers' ``--jobs N``).
+"""The process-pool fitness evaluation engine: the one evaluator the
+trainers accept (``repro train --jobs N`` and the library alike).
 
 Every candidate of an EA generation (or RL batch) is an independent
-simulator run — embarrassingly parallel work that the serial trainers used
-to grind through one evaluation at a time.  This engine fans a batch of
-evaluations out to up to ``jobs`` forked worker processes and merges the
-results order-independently, while keeping three guarantees:
+simulator run — embarrassingly parallel work.  This engine fans a batch of
+evaluations out to up to ``jobs`` forked worker processes, each running the
+pure :meth:`~repro.training.fitness.FitnessEvaluator.compute`, and merges
+the results order-independently.  It is the one owner of the parent-side
+state: the content cache, the ``evaluations`` / ``cache_hits`` counters,
+the per-evaluation seed stream, retry / timeout / fallback and metrics.
+It keeps three guarantees:
 
 **Determinism.**  Evaluation *i* (a content-cache miss, counted in
 deterministic submission order across the whole run) simulates under seed
-``derive_seed(run_seed, EVAL_RNG_SALT, i)``.  Seeds are assigned when a
+``derive_seed(config.seed, EVAL_RNG_SALT, i)``.  Seeds are assigned when a
 task is *submitted*, never when it completes, and results are merged by
 submission index, so ``--jobs 1`` and ``--jobs N`` produce bit-identical
 fitness values, policies, histories and checkpoints.  Duplicate candidates
 inside one batch are coalesced onto the first occurrence's run (and
 counted as the cache hits the serial order would have seen), so the
 evaluation-index stream is also independent of the pool size.  The number
-of seeds issued so far is part of the checkpoint state
+of seeds issued so far and the cache are part of the checkpoint state
 (:func:`repro.training.checkpoint.encode_evaluator_state`), which keeps the
 identical-trajectory guarantee across a resume — even one that changes the
 jobs count.
 
 **Hard timeouts.**  A worker that overruns ``timeout`` wall-clock seconds
-is SIGKILLed and reaped; unlike the abandoned daemon-thread timeout this
-replaces, nothing keeps simulating in the background and no counter can be
-mutated by a zombie attempt.  The killed attempt is retried (same seed) up
-to ``max_retries`` times, then ``fallback_fitness`` is used or
-:class:`~repro.errors.TrainingError` raised — the
-:class:`~repro.training.fitness.ResilientEvaluator` semantics.
+is SIGKILLed and reaped: nothing keeps simulating in the background and no
+counter can be mutated by a zombie attempt.  A failed or killed attempt is
+retried (same seed) up to ``max_retries`` times, then ``fallback_fitness``
+is used or :class:`~repro.errors.TrainingError` raised.
 
 **Observability.**  When a metrics registry is attached the engine records
 batch wall-clock, per-evaluation latency, per-worker-slot utilization,
@@ -35,30 +37,82 @@ asserted.
 
 Worker processes are forked per evaluation: ``fork`` inherits the workload
 factory closure and the policy objects without pickling, and a fresh child
-per task is what makes the kill-on-timeout safe and leak-free.  On
-platforms without ``fork`` the engine degrades to deterministic inline
-execution (same seeding, no parallelism, no timeout enforcement).
+per task is what makes the kill-on-timeout safe and leak-free.  With
+``jobs=1`` and no timeout — or on platforms without ``fork`` — evaluations
+run inline, in this process, with the same seeds (no parallelism, no
+timeout enforcement).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from collections import deque
 from multiprocessing import connection as mp_connection
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError, TrainingError
 from ..obs.metrics import MetricsRegistry
 from ..rng import EVAL_RNG_SALT, derive_seed
-from .fitness import (FitnessEvaluator, _child_main, evaluation_context,
-                      receive_outcome)
+from .fitness import FitnessEvaluator
+
+
+def _listify(obj):
+    """Tuples -> lists, recursively (cache keys -> JSON)."""
+    if isinstance(obj, tuple):
+        return [_listify(item) for item in obj]
+    return obj
+
+
+def _tuplify(obj):
+    """Lists -> tuples, recursively (JSON -> hashable cache keys)."""
+    if isinstance(obj, list):
+        return tuple(_tuplify(item) for item in obj)
+    return obj
+
+
+def _child_main(fn: Callable[[], object], conn) -> None:
+    """Worker-process entry point: run ``fn`` and ship the outcome back.
+
+    The payload is ``("ok", value)`` on success and ``("err", exc)`` on
+    failure; exceptions that cannot be pickled degrade to
+    ``("errstr", repr)`` so the parent still learns what happened.
+    """
+    try:
+        payload = ("ok", fn())
+    except BaseException as exc:  # noqa: BLE001 - reported to the parent
+        payload = ("err", exc)
+    try:
+        conn.send(payload)
+    except Exception:
+        try:
+            conn.send(("errstr", repr(payload[1])))
+        except Exception:  # pragma: no cover - pipe gone, parent sees EOF
+            pass
+    finally:
+        conn.close()
+
+
+def _receive_outcome(conn, process) -> object:
+    """Decode a ``_child_main`` payload; raises the child's exception."""
+    try:
+        status, payload = conn.recv()
+    except Exception as exc:  # EOF / unpicklable payload / torn pipe
+        raise TrainingError(
+            f"evaluation worker died without a result "
+            f"(exit code {process.exitcode}): {exc!r}") from None
+    if status == "ok":
+        return payload
+    if status == "errstr":
+        raise TrainingError(f"evaluation worker failed: {payload}")
+    raise payload  # "err": the child's original exception
 
 
 class _Task:
     """One pending evaluation: a candidate plus its pre-assigned seed."""
 
     __slots__ = ("key", "policy", "backoff", "seed", "indices",
-                 "attempts_left", "last_error", "succeeded", "value")
+                 "attempts_left", "value")
 
     def __init__(self, key, policy, backoff, seed, index, attempts_left):
         self.key = key
@@ -68,8 +122,7 @@ class _Task:
         #: result positions this task feeds (duplicates coalesce here)
         self.indices = [index]
         self.attempts_left = attempts_left
-        self.last_error: Optional[BaseException] = None
-        self.succeeded = False
+        #: set on success (fallbacks are never cached)
         self.value: Optional[float] = None
 
 
@@ -88,25 +141,21 @@ class _Attempt:
 
 
 class ParallelEvaluationEngine:
-    """Drop-in evaluator that parallelises ``evaluate_batch`` over a
-    process pool.
-
-    Wraps a :class:`~repro.training.fitness.FitnessEvaluator` the same way
-    :class:`~repro.training.fitness.ResilientEvaluator` does (proxied
-    ``evaluations`` / ``cache_hits``, ``retries`` / ``failures`` /
-    ``timeouts`` / ``fallbacks_used`` accounting) and adds:
+    """The trainers' evaluator: a content-cached, seeded, fault-tolerant
+    process pool over a :class:`~repro.training.fitness.FitnessEvaluator`.
 
     * ``jobs`` concurrent forked worker processes per batch;
-    * per-evaluation seeds spawned from ``run_seed`` (default: the inner
-      evaluator's config seed) with :data:`~repro.rng.EVAL_RNG_SALT` and
-      the submission index — see the module docstring for the contract;
-    * hard timeout kills with retry/fallback semantics.
+    * per-evaluation seeds spawned from the evaluator's config seed with
+      :data:`~repro.rng.EVAL_RNG_SALT` and the submission index — see the
+      module docstring for the contract;
+    * retries (``max_retries``), hard timeout kills (``timeout``) and
+      ``fallback_fitness``, accounted in ``retries`` / ``failures`` /
+      ``timeouts`` / ``fallbacks_used``.
     """
 
     def __init__(self, inner: FitnessEvaluator, jobs: int = 1,
                  max_retries: int = 2, timeout: Optional[float] = None,
                  fallback_fitness: Optional[float] = None,
-                 run_seed: Optional[int] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         if jobs < 1:
             raise TrainingError("jobs must be >= 1")
@@ -119,37 +168,36 @@ class ParallelEvaluationEngine:
         self.max_retries = max_retries
         self.timeout = timeout
         self.fallback_fitness = fallback_fitness
-        self.run_seed = run_seed if run_seed is not None \
-            else inner.config.seed
         self.metrics = metrics
+        self._cache: Dict[tuple, float] = {}
+        #: simulator runs that produced a result (cache misses)
+        self.evaluations = 0
+        self.cache_hits = 0
         #: per-evaluation seed indices handed out so far (checkpointed —
         #: part of the identical-trajectory guarantee across resume)
         self.seeds_issued = 0
-        #: failure accounting, mirroring ResilientEvaluator
         self.retries = 0
         self.failures = 0
         self.timeouts = 0
         self.fallbacks_used = 0
-        self._ctx = evaluation_context()
+        #: ``fork`` keeps closures (workload factories) usable in the child
+        #: without pickling; without it evaluations run inline
+        self._ctx = multiprocessing.get_context("fork") \
+            if "fork" in multiprocessing.get_all_start_methods() else None
 
-    # the trainers read (and on resume, restore) these counters
-    @property
-    def evaluations(self) -> int:
-        return self.inner.evaluations
+    def cache_state(self) -> list:
+        """JSON-safe snapshot of the content cache.
 
-    @evaluations.setter
-    def evaluations(self, value: int) -> None:
-        self.inner.evaluations = value
-
-    @property
-    def cache_hits(self) -> int:
-        return self.inner.cache_hits
-
-    def cache_state(self):
-        return self.inner.cache_state()
+        Checkpointed alongside the counters: whether a candidate is a hit
+        or a miss decides which seed the *next* miss receives, so a resumed
+        run must see the exact cache the interrupted run had or its
+        trajectory diverges as soon as a duplicate candidate appears.
+        """
+        return [[_listify(key), value] for key, value in self._cache.items()]
 
     def restore_cache(self, entries) -> None:
-        self.inner.restore_cache(entries)
+        """Replace the cache with a :meth:`cache_state` snapshot."""
+        self._cache = {_tuplify(key): float(value) for key, value in entries}
 
     # ------------------------------------------------------------------ #
 
@@ -169,31 +217,25 @@ class ParallelEvaluationEngine:
         tasks: List[_Task] = []
         by_key: Dict[tuple, _Task] = {}
         for index, (policy, backoff) in enumerate(pairs):
-            key = self.inner.cache_key(policy, backoff)
-            if key is not None:
-                cached = self.inner.cached(key)
-                if cached is not None:
-                    self.inner.cache_hits += 1
-                    self._count("train_eval_cache_hits_total")
-                    results[index] = cached
-                    continue
-                pending = by_key.get(key)
-                if pending is not None:
-                    # duplicate within the batch: share the first
-                    # occurrence's run — the cache hit serial order would
-                    # have produced
-                    pending.indices.append(index)
-                    self.inner.cache_hits += 1
-                    self._count("train_eval_cache_hits_total")
-                    continue
-            task = _Task(key, policy, backoff,
-                         derive_seed(self.run_seed, EVAL_RNG_SALT,
-                                     self.seeds_issued),
-                         index, self.max_retries)
-            self.seeds_issued += 1
-            if key is not None:
-                by_key[key] = task
-            tasks.append(task)
+            key = (policy.as_tuple(),
+                   backoff.as_tuple() if backoff is not None else ())
+            if key in self._cache:
+                results[index] = self._cache[key]
+            elif key in by_key:
+                # duplicate within the batch: share the first occurrence's
+                # run — the cache hit serial order would have produced
+                by_key[key].indices.append(index)
+            else:
+                by_key[key] = task = _Task(
+                    key, policy, backoff,
+                    derive_seed(self.inner.config.seed, EVAL_RNG_SALT,
+                                self.seeds_issued),
+                    index, self.max_retries)
+                self.seeds_issued += 1
+                tasks.append(task)
+                continue
+            self.cache_hits += 1
+            self._count("train_eval_cache_hits_total")
         if tasks:
             try:
                 if self._ctx is None or (self.jobs == 1
@@ -206,8 +248,8 @@ class ParallelEvaluationEngine:
                 # pool completes tasks in a jobs-dependent order, and the
                 # serialized cache (checkpoint state) must not reflect it
                 for task in tasks:
-                    if task.succeeded:
-                        self.inner.store(task.key, task.value)
+                    if task.value is not None:
+                        self._cache[task.key] = task.value
         if self.metrics is not None:
             self.metrics.gauge("train_eval_jobs").set(self.jobs)
             self.metrics.gauge("train_eval_batch_wall_seconds").set(
@@ -323,7 +365,7 @@ class ParallelEvaluationEngine:
 
     def _finish(self, attempt: _Attempt, queue, results) -> None:
         try:
-            value = receive_outcome(attempt.conn, attempt.process)
+            value = _receive_outcome(attempt.conn, attempt.process)
         except ReproError as exc:
             self._task_failed(attempt.task, exc, queue, results)
             return
@@ -342,8 +384,7 @@ class ParallelEvaluationEngine:
 
     def _task_succeeded(self, task: _Task, value: float, results,
                         eval_started: float) -> None:
-        self.inner.evaluations += 1
-        task.succeeded = True
+        self.evaluations += 1
         task.value = value  # cached later, in submission order
         for index in task.indices:
             results[index] = value
@@ -354,7 +395,6 @@ class ParallelEvaluationEngine:
 
     def _task_failed(self, task: _Task, error: BaseException, queue,
                      results) -> None:
-        task.last_error = error
         if task.attempts_left > 0:
             task.attempts_left -= 1
             self.retries += 1

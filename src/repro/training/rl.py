@@ -31,7 +31,7 @@ from .checkpoint import (CheckpointError, decode_np_rng,
                          load_checkpoint, restore_evaluator_state,
                          save_checkpoint)
 from .ea import TrainingResult, Individual, default_backoff
-from .fitness import FitnessEvaluator
+from .parallel import ParallelEvaluationEngine
 
 
 @dataclass
@@ -94,7 +94,8 @@ class _CellParam:
 class PolicyGradientTrainer:
     """REINFORCE over the tabular policy space."""
 
-    def __init__(self, spec: WorkloadSpec, evaluator: FitnessEvaluator,
+    def __init__(self, spec: WorkloadSpec,
+                 evaluator: ParallelEvaluationEngine,
                  config: Optional[RLConfig] = None,
                  seed_policy: Optional[CCPolicy] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
@@ -319,15 +320,10 @@ class PolicyGradientTrainer:
         try:
             for iteration in range(start_iteration, total):
                 batch = [self._sample() for _ in range(self.config.batch_size)]
-                # the whole batch goes to the evaluator at once so a
-                # process-pool engine can evaluate the samples in parallel
-                evaluate = getattr(self.evaluator, "evaluate_batch", None)
-                if evaluate is not None:
-                    fitnesses = evaluate([(policy, backoff)
-                                          for policy, backoff, _ in batch])
-                else:
-                    fitnesses = [self.evaluator.evaluate(policy, backoff)
-                                 for policy, backoff, _ in batch]
+                # one batch, so the engine can evaluate the samples in
+                # parallel
+                fitnesses = self.evaluator.evaluate_batch(
+                    [(policy, backoff) for policy, backoff, _ in batch])
                 rewards = [fitness / self.config.reward_scale
                            for fitness in fitnesses]
                 mean_reward = float(np.mean(rewards))

@@ -3,14 +3,16 @@
 from repro.config import SimConfig
 from repro.obs import MetricsRegistry
 from repro.training import (EAConfig, EvolutionaryTrainer, FitnessEvaluator,
-                            PolicyGradientTrainer, RLConfig)
+                            ParallelEvaluationEngine, PolicyGradientTrainer,
+                            RLConfig)
 
 from tests.helpers import CounterWorkload, counter_spec
 
 
 def evaluator():
-    return FitnessEvaluator(lambda: CounterWorkload(n_keys=4, n_accesses=2),
-                            SimConfig(n_workers=2, duration=500.0, seed=5))
+    return ParallelEvaluationEngine(FitnessEvaluator(
+        lambda: CounterWorkload(n_keys=4, n_accesses=2),
+        SimConfig(n_workers=2, duration=500.0, seed=5)))
 
 
 class TestEATrainingMetrics:

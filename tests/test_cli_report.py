@@ -90,6 +90,10 @@ class TestReportRendering:
         '{"ts": 5.0, "kind": "wait_end", "worker": 0, "attrs": "x"}',
         '{"ts": 5.0, "kind": "access", "worker": 0, "type": ["x"], '
         '"attrs": {"access_id": 1}}',
+        '{"ts": 5.0, "kind": "access", "worker": 0, "type": "payment", '
+        '"attrs": {"access_id": [1]}}',
+        '{"ts": 5.0, "kind": "wait_end", "worker": 0, '
+        '"attrs": {"wait_kind": ["progress"]}}',
     ])
     def test_mistyped_event_field_fails_cleanly(self, artifacts, tmp_path,
                                                 capsys, line):

@@ -1,26 +1,36 @@
 """Resumable training: checkpoint round-trips, interrupt/resume equivalence,
-and the resilient evaluation wrapper."""
+and resilient evaluation (the engine's retry / timeout / fallback)."""
 
 import json
+import multiprocessing
+import os
 import random
+import time
 
 import pytest
 
 from repro.config import SimConfig
 from repro.errors import CheckpointError, ReproError, TrainingError
 from repro.training import (EAConfig, EvolutionaryTrainer, FitnessEvaluator,
-                            PolicyGradientTrainer, ResilientEvaluator,
+                            ParallelEvaluationEngine, PolicyGradientTrainer,
                             RLConfig, has_checkpoint, load_checkpoint,
                             save_checkpoint)
 from repro.training.checkpoint import (checkpoint_path, decode_py_rng,
-                                       encode_py_rng)
+                                       encode_evaluator_state, encode_py_rng,
+                                       restore_evaluator_state)
+from repro.training.ea import random_policy
 
 from tests.helpers import CounterWorkload, counter_spec
 
 
-def make_evaluator():
-    return FitnessEvaluator(lambda: CounterWorkload(n_keys=4, n_accesses=3),
-                            SimConfig(n_workers=4, duration=600.0, seed=5))
+CONFIG = SimConfig(n_workers=4, duration=600.0, seed=5)
+
+
+def make_evaluator(**kwargs):
+    return ParallelEvaluationEngine(
+        FitnessEvaluator(lambda: CounterWorkload(n_keys=4, n_accesses=3),
+                         CONFIG),
+        **kwargs)
 
 
 def make_ea():
@@ -172,78 +182,115 @@ class TestRLResume:
                             resume=True)
 
 
-class _ScriptedInner:
-    """Stand-in evaluator that fails a scripted number of times."""
+class TestEvaluatorState:
+    def test_round_trip(self):
+        engine = make_evaluator()
+        engine.evaluate(random_policy(counter_spec(3), random.Random(1)))
+        state = json.loads(json.dumps(encode_evaluator_state(engine)))
+        fresh = make_evaluator()
+        restore_evaluator_state(fresh, state)
+        assert encode_evaluator_state(fresh) == state
 
-    def __init__(self, failures=0, value=100.0, hang=None):
-        self.failures = failures
-        self.value = value
+    def test_pre_engine_checkpoint_resumes_seeds_at_evaluations(self):
+        # checkpoints written before the process-pool engine carry no
+        # eval_seeds_issued (nor eval_cache): the seed stream restarts at
+        # the evaluation count, which is what it equals on a clean run
+        engine = make_evaluator()
+        restore_evaluator_state(engine, {"evaluations": 7})
+        assert engine.evaluations == 7
+        assert engine.seeds_issued == engine.evaluations
+        assert engine.cache_state() == []
+
+    def test_corrupt_state_rejected(self):
+        with pytest.raises(CheckpointError, match="evaluator state"):
+            restore_evaluator_state(make_evaluator(), {"evaluations": "x"})
+
+
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+class _Scripted(FitnessEvaluator):
+    """Inner evaluator with scripted behaviour; ``compute`` runs in a forked
+    worker under a timeout or ``jobs > 1``, so state that must survive the
+    process boundary lives in files."""
+
+    def __init__(self, error=None, hang=None, fail_marker=None):
+        super().__init__(lambda: CounterWorkload(), CONFIG)
+        self.error = error
         self.hang = hang
-        self.calls = 0
-        self.evaluations = 0
-        self.cache_hits = 0
+        #: fail while this file is absent; the failing call creates it
+        self.fail_marker = fail_marker
 
-    def evaluate(self, policy, backoff=None):
-        self.calls += 1
+    def compute(self, policy, backoff, seed):
         if self.hang is not None:
-            import time
             time.sleep(self.hang)
-        if self.calls <= self.failures:
+        if self.error is not None:
+            raise ReproError(self.error)
+        if self.fail_marker is not None \
+                and not os.path.exists(self.fail_marker):
+            open(self.fail_marker, "w").close()
             raise ReproError("transient failure")
-        self.evaluations += 1
-        return self.value
+        return 100.0
+
+
+POLICY = random_policy(counter_spec(3), random.Random(2))
 
 
 class TestResilientEvaluator:
-    def test_passthrough(self):
-        evaluator = ResilientEvaluator(_ScriptedInner())
-        assert evaluator.evaluate(None) == 100.0
-        assert evaluator.evaluations == 1
-        assert evaluator.retries == 0
+    """Resilient evaluation is the engine's: a failed attempt is retried,
+    a hung one is killed, and ``fallback_fitness`` keeps training alive."""
 
-    def test_retries_transient_failures(self):
-        evaluator = ResilientEvaluator(_ScriptedInner(failures=2),
-                                       max_retries=2)
-        assert evaluator.evaluate(None) == 100.0
-        assert evaluator.retries == 2
-        assert evaluator.failures == 0
+    def test_passthrough(self):
+        engine = ParallelEvaluationEngine(_Scripted())
+        assert engine.evaluate(POLICY) == 100.0
+        assert engine.evaluations == 1
+        assert engine.retries == 0
+
+    def test_retries_transient_failures(self, tmp_path):
+        # in the pool a retried attempt runs in a fresh worker
+        engine = ParallelEvaluationEngine(
+            _Scripted(fail_marker=str(tmp_path / "failed")),
+            jobs=2, max_retries=2)
+        assert engine.evaluate(POLICY) == 100.0
+        assert engine.retries == 1
+        assert engine.failures == 0
+        assert engine.evaluations == 1
 
     def test_exhausted_retries_raise(self):
-        evaluator = ResilientEvaluator(_ScriptedInner(failures=10),
-                                       max_retries=1)
-        with pytest.raises(TrainingError, match="after 2 attempts"):
-            evaluator.evaluate(None)
-        assert evaluator.failures == 1
+        # the worker's own exception crosses the process boundary
+        engine = ParallelEvaluationEngine(_Scripted(error="child says no"),
+                                          jobs=2, max_retries=1)
+        with pytest.raises(TrainingError,
+                           match="after 2 attempts: child says no"):
+            engine.evaluate(POLICY)
+        assert engine.failures == 1
+        assert engine.evaluations == 0
+        assert not multiprocessing.active_children()
 
     def test_fallback_fitness(self):
-        evaluator = ResilientEvaluator(_ScriptedInner(failures=10),
-                                       max_retries=0, fallback_fitness=0.0)
-        assert evaluator.evaluate(None) == 0.0
-        assert evaluator.fallbacks_used == 1
+        engine = ParallelEvaluationEngine(_Scripted(error="boom"),
+                                          max_retries=0, fallback_fitness=0.0)
+        assert engine.evaluate(POLICY) == 0.0
+        assert engine.fallbacks_used == 1
+        assert engine.evaluations == 0
 
+    @pytest.mark.skipif(not HAS_FORK, reason="timeout kills need fork")
     def test_timeout(self):
-        evaluator = ResilientEvaluator(_ScriptedInner(hang=0.5),
-                                       max_retries=0, timeout=0.05,
-                                       fallback_fitness=-1.0)
-        assert evaluator.evaluate(None) == -1.0
-        assert evaluator.timeouts >= 1
+        engine = ParallelEvaluationEngine(_Scripted(hang=0.5), max_retries=0,
+                                          timeout=0.05, fallback_fitness=-1.0)
+        assert engine.evaluate(POLICY) == -1.0
+        assert engine.timeouts == 1
 
-    def test_counter_proxy_is_settable(self):
-        inner = _ScriptedInner()
-        evaluator = ResilientEvaluator(inner)
-        evaluator.evaluations = 42
-        assert inner.evaluations == 42
-        assert evaluator.evaluations == 42
-
-    def test_invalid_params(self):
-        with pytest.raises(TrainingError):
-            ResilientEvaluator(_ScriptedInner(), max_retries=-1)
-        with pytest.raises(TrainingError):
-            ResilientEvaluator(_ScriptedInner(), timeout=0.0)
+    def test_evaluations_counter_is_settable(self):
+        # a resume restores the counter the trainers report
+        engine = ParallelEvaluationEngine(_Scripted())
+        engine.evaluations = 42
+        engine.evaluate(POLICY)
+        assert engine.evaluations == 43
 
     def test_trainer_accepts_wrapper(self):
         trainer = EvolutionaryTrainer(
-            counter_spec(3), ResilientEvaluator(make_evaluator()),
+            counter_spec(3), make_evaluator(max_retries=1),
             EAConfig(population_size=2, children_per_parent=1, iterations=1,
                      seed=9))
         result = trainer.train()

@@ -10,7 +10,8 @@ from repro.config import SimConfig
 from repro.errors import TrainingError
 from repro.core import actions
 from repro.core.backoff import ALPHA_CHOICES
-from repro.training import EAConfig, EvolutionaryTrainer, FitnessEvaluator
+from repro.training import (EAConfig, EvolutionaryTrainer, FitnessEvaluator,
+                            ParallelEvaluationEngine)
 from repro.training.ea import (Individual, default_backoff, random_backoff,
                                random_policy)
 
@@ -20,9 +21,9 @@ from tests.helpers import CounterWorkload, counter_spec
 def make_trainer(spec=None, ea_config=None, evaluator=None):
     spec = spec or counter_spec(3)
     if evaluator is None:
-        evaluator = FitnessEvaluator(
+        evaluator = ParallelEvaluationEngine(FitnessEvaluator(
             lambda: CounterWorkload(n_keys=4, n_accesses=3),
-            SimConfig(n_workers=4, duration=800.0, seed=5))
+            SimConfig(n_workers=4, duration=800.0, seed=5)))
     return EvolutionaryTrainer(spec, evaluator,
                                ea_config or EAConfig(population_size=4,
                                                      children_per_parent=2,
@@ -185,23 +186,13 @@ class TestTraining:
 
 
 class TestFitnessEvaluator:
-    def test_cache_hits_on_identical_policy(self):
-        evaluator = FitnessEvaluator(
-            lambda: CounterWorkload(n_keys=4, n_accesses=2),
-            SimConfig(n_workers=2, duration=500.0, seed=5))
-        from repro.cc.seeds import occ_policy
-        policy = occ_policy(counter_spec(2))
-        first = evaluator.evaluate(policy)
-        second = evaluator.evaluate(policy.clone())
-        assert first == second
-        assert evaluator.evaluations == 1
-        assert evaluator.cache_hits == 1
-
     def test_deterministic_without_cache(self):
+        # compute is pure: no cache, no counters, the same run per seed
         def make():
             return FitnessEvaluator(
                 lambda: CounterWorkload(n_keys=4, n_accesses=2),
-                SimConfig(n_workers=2, duration=500.0, seed=5), cache=False)
+                SimConfig(n_workers=2, duration=500.0, seed=5))
         from repro.cc.seeds import occ_policy
         policy = occ_policy(counter_spec(2))
-        assert make().evaluate(policy) == make().evaluate(policy)
+        assert make().compute(policy, None, seed=5) == \
+            make().compute(policy, None, seed=5)

@@ -22,21 +22,20 @@ import time
 import pytest
 
 from repro.config import SimConfig, resolve_jobs
-from repro.errors import ConfigError, EvaluationTimeout, ReproError, \
-    TrainingError
+from repro.errors import ConfigError, ReproError, TrainingError
 from repro.faults import FaultPlan, ScriptedFault
 from repro.obs import MetricsRegistry
 from repro.training import (EAConfig, EvolutionaryTrainer, FitnessEvaluator,
-                            HARD_TIMEOUTS_SUPPORTED,
                             ParallelEvaluationEngine, PolicyGradientTrainer,
-                            ResilientEvaluator, RLConfig,
-                            call_with_hard_timeout)
+                            RLConfig)
 from repro.training.ea import random_policy
 
 from tests.helpers import CounterWorkload, counter_spec
 
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
 needs_fork = pytest.mark.skipif(
-    not HARD_TIMEOUTS_SUPPORTED,
+    not HAS_FORK,
     reason="subprocess timeout kills need the fork start method")
 
 SPEC = counter_spec(3)
@@ -79,7 +78,7 @@ def no_leftover_workers():
 class _Hanging(FitnessEvaluator):
     """Inner evaluator whose simulation never returns in time."""
 
-    def compute(self, policy, backoff=None, seed=None):
+    def compute(self, policy, backoff, seed):
         time.sleep(60)
 
 
@@ -91,11 +90,11 @@ class _Flaky(FitnessEvaluator):
         self._failures = failures
         self.compute_calls = 0
 
-    def compute(self, policy, backoff=None, seed=None):
+    def compute(self, policy, backoff, seed):
         self.compute_calls += 1
         if self.compute_calls <= self._failures:
             raise ReproError("transient failure")
-        return super().compute(policy, backoff, seed=seed)
+        return super().compute(policy, backoff, seed)
 
 
 # --------------------------------------------------------------------- #
@@ -187,7 +186,7 @@ class TestEngineBasics:
         assert "train_eval_batch_wall_seconds" in names
         assert metrics.counter("train_evaluations_total").value == \
             engine.evaluations
-        if HARD_TIMEOUTS_SUPPORTED:
+        if HAS_FORK:
             assert "train_eval_worker_utilization" in names
             assert "train_eval_seconds" in names
 
@@ -285,58 +284,41 @@ class TestTimeoutKills:
     def test_resilient_timeout_leaves_no_live_worker(self):
         inner = _Hanging(lambda: CounterWorkload(),
                          SimConfig(n_workers=4, duration=600.0, seed=5))
-        evaluator = ResilientEvaluator(inner, max_retries=0, timeout=0.1,
-                                       fallback_fitness=-1.0)
+        engine = ParallelEvaluationEngine(inner, max_retries=0, timeout=0.1,
+                                          fallback_fitness=-1.0)
         before = threading.active_count()
-        assert evaluator.evaluate(
+        assert engine.evaluate(
             random_policy(SPEC, random.Random(11))) == -1.0
-        assert evaluator.timeouts == 1
+        assert engine.timeouts == 1
         assert threading.active_count() == before
         assert no_leftover_workers()
-        # the old daemon-thread timeout kept evaluating in the background
-        # and bumped the counters when the zombie finished; a killed
-        # process cannot — give a zombie ample time to prove itself absent
+        # a daemon-thread timeout would keep evaluating in the background
+        # and bump the counters when the zombie finished; a killed process
+        # cannot — give a zombie ample time to prove itself absent
         time.sleep(0.4)
-        assert inner.evaluations == 0
-        assert inner.cache_hits == 0
+        assert engine.evaluations == 0
+        assert engine.cache_hits == 0
 
     def test_counters_advance_exactly_once_per_logical_attempt(self):
         # a timeout episode followed by a successful evaluation must leave
         # exactly one counted evaluation — no background double count
         class _HangOnce(FitnessEvaluator):
-            def compute(self, policy, backoff=None, seed=None):
+            def compute(self, policy, backoff, seed):
                 if policy.name == "hang":
                     time.sleep(60)
-                return super().compute(policy, backoff, seed=seed)
+                return super().compute(policy, backoff, seed)
 
         inner = _HangOnce(lambda: CounterWorkload(n_keys=4, n_accesses=3),
                           SimConfig(n_workers=4, duration=600.0, seed=5))
-        evaluator = ResilientEvaluator(inner, max_retries=0, timeout=0.15,
-                                       fallback_fitness=-1.0)
+        engine = ParallelEvaluationEngine(inner, max_retries=0, timeout=0.15,
+                                          fallback_fitness=-1.0)
         slow = random_policy(SPEC, random.Random(12), name="hang")
         fast = random_policy(SPEC, random.Random(13))
-        assert evaluator.evaluate(slow) == -1.0
-        assert evaluator.evaluate(fast) > 0
+        assert engine.evaluate(slow) == -1.0
+        assert engine.evaluate(fast) > 0
         time.sleep(0.3)  # any zombie would land its count here
-        assert inner.evaluations == 1
-        assert evaluator.timeouts == 1
-        assert no_leftover_workers()
-
-    def test_call_with_hard_timeout_raises_and_reaps(self):
-        with pytest.raises(EvaluationTimeout):
-            call_with_hard_timeout(lambda: time.sleep(60), 0.1)
-        assert no_leftover_workers()
-
-    def test_call_with_hard_timeout_propagates_child_errors(self):
-        def boom():
-            raise ReproError("child says no")
-
-        with pytest.raises(ReproError, match="child says no"):
-            call_with_hard_timeout(boom, 5.0)
-        assert no_leftover_workers()
-
-    def test_call_with_hard_timeout_returns_value(self):
-        assert call_with_hard_timeout(lambda: 41 + 1, 5.0) == 42
+        assert engine.evaluations == 1
+        assert engine.timeouts == 1
         assert no_leftover_workers()
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.config import SimConfig
 from repro.errors import TrainingError
-from repro.training import FitnessEvaluator, PolicyGradientTrainer, RLConfig
+from repro.training import (FitnessEvaluator, ParallelEvaluationEngine,
+                            PolicyGradientTrainer, RLConfig)
 from repro.training.rl import _CellParam
 from repro.cc.seeds import occ_policy
 
@@ -14,9 +15,9 @@ from tests.helpers import CounterWorkload, counter_spec
 
 def make_trainer(seed_policy=None, **rl_kwargs):
     spec = counter_spec(2)
-    evaluator = FitnessEvaluator(
+    evaluator = ParallelEvaluationEngine(FitnessEvaluator(
         lambda: CounterWorkload(n_keys=4, n_accesses=2),
-        SimConfig(n_workers=2, duration=500.0, seed=5))
+        SimConfig(n_workers=2, duration=500.0, seed=5)))
     config = RLConfig(iterations=2, batch_size=3, seed=11, **rl_kwargs)
     return PolicyGradientTrainer(spec, evaluator, config,
                                  seed_policy=seed_policy)
