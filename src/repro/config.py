@@ -159,7 +159,10 @@ class FrontendConfig:
     model: a seeded Poisson arrival process enqueues timestamped invocations
     onto a bounded admission queue from which workers pull.  Arrivals that
     cannot be admitted are shed; admitted transactions carry an optional
-    deadline and a bounded retry budget.
+    deadline and a bounded retry budget.  Retries back off exponentially
+    from the cost model's ``backoff_initial`` up to its ``backoff_max``
+    (tightened by a backoff policy's ``cap``), with a jitter of
+    ``repro.frontend.frontend.RETRY_JITTER`` unless the policy sets its own.
 
     Attributes:
         arrival_rate: mean offered load in transactions per simulated
@@ -181,12 +184,6 @@ class FrontendConfig:
         bursts: scripted rate bursts, ``(start, duration, factor)`` triples
             in ticks; overlapping bursts multiply.  Scripted ``burst``
             events in a :class:`~repro.faults.FaultPlan` add to these.
-        retry_initial: first retry backoff in ticks (``None`` = the cost
-            model's ``backoff_initial``).
-        retry_cap: hard cap on any retry backoff (``None`` = the cost
-            model's ``backoff_max``).
-        retry_jitter: fraction of each backoff randomised away (0 = fully
-            deterministic pauses, 1 = uniform in (0, pause]).
         n_clients: size of the simulated client-id stream arrivals cycle
             through (affects workloads that partition by client, e.g.
             TPC-C home warehouses).  0 = one client per worker.
@@ -199,9 +196,6 @@ class FrontendConfig:
     shed_policy: str = "reject-newest"
     priorities: Tuple[Tuple[str, float], ...] = ()
     bursts: Tuple[Tuple[float, float, float], ...] = ()
-    retry_initial: Optional[float] = None
-    retry_cap: Optional[float] = None
-    retry_jitter: float = 0.1
     n_clients: int = 0
 
     def __post_init__(self) -> None:
@@ -238,17 +232,6 @@ class FrontendConfig:
                 raise ConfigError("frontend burst duration must be positive")
             if not math.isfinite(factor) or factor <= 0:
                 raise ConfigError("frontend burst factor must be positive")
-        for name in ("retry_initial", "retry_cap"):
-            value = getattr(self, name)
-            if value is not None and (not math.isfinite(value) or value <= 0):
-                raise ConfigError(
-                    f"frontend {name} must be None or positive and finite")
-        if (self.retry_initial is not None and self.retry_cap is not None
-                and self.retry_cap < self.retry_initial):
-            raise ConfigError("frontend retry_cap must be >= retry_initial")
-        if not math.isfinite(self.retry_jitter) or not (
-                0.0 <= self.retry_jitter <= 1.0):
-            raise ConfigError("frontend retry_jitter must lie in [0, 1]")
         if self.n_clients < 0:
             raise ConfigError("frontend n_clients must be >= 0")
 
@@ -290,8 +273,6 @@ class ClusterConfig:
             the network's own RNG stream (``spawn_rng(seed, NET_RNG_SALT)``).
         net_bandwidth: additional ticks charged per payload byte (0 = pure
             latency model).
-        partitioner: name of the partitioning strategy (``"hash"`` or a
-            workload-provided one via ``Workload.make_partitioner``).
     """
 
     n_shards: int = 2
@@ -299,7 +280,6 @@ class ClusterConfig:
     net_latency: float = 15.0
     net_jitter: float = 0.1
     net_bandwidth: float = 0.0
-    partitioner: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:

@@ -51,7 +51,8 @@ class BackoffPolicy:
 
     Optionally carries deployment bounds alongside the table: ``cap`` (a
     hard ceiling on any pause the policy produces, ticks) and ``jitter``
-    (the fraction of each pause randomised away by open-loop retry).  Both
+    (the fraction of each open-loop retry pause randomised away, in place
+    of the frontend's default).  Both
     are validated at construction/load time — a corrupted artifact with a
     NaN, infinite or negative bound is rejected with an error naming the
     offending field, never silently deployed.
@@ -70,7 +71,9 @@ class BackoffPolicy:
         self.alpha_indices = alpha_indices
         #: optional hard ceiling (ticks) on any pause this policy produces
         self.cap = cap
-        #: optional jitter fraction in [0, 1] for open-loop retry pauses
+        #: optional jitter fraction in [0, 1] for open-loop retry pauses;
+        #: overrides the frontend's ``RETRY_JITTER`` (see
+        #: :meth:`~repro.frontend.Frontend.make_backoff`)
         self.jitter = jitter
         self.validate()
 
@@ -218,34 +221,39 @@ class LearnedBackoffManager:
     def current(self, type_index: int) -> float:
         return self._backoff[type_index]
 
-    def snapshot(self) -> dict:
-        """Observability: current per-type backoff levels (ticks)."""
-        return {"type": "learned", "backoff": list(self._backoff)}
-
 
 class ExponentialBackoffManager:
-    """Silo-style binary exponential backoff (doubles per failed attempt)."""
+    """Silo-style binary exponential backoff (doubles per failed attempt).
 
-    __slots__ = ("cost",)
+    ``cap`` tightens the ceiling on any pause; it is clamped to lie between
+    the cost model's ``backoff_initial`` and ``backoff_max`` (``None`` =
+    ``backoff_max``).  ``jitter`` randomises that fraction of each pause
+    away (0 = deterministic, 1 = uniform in (0, pause]), drawing from
+    ``rng`` only when it is positive.
+    """
 
-    def __init__(self, cost: CostModel) -> None:
+    __slots__ = ("cost", "cap", "jitter", "rng")
+
+    def __init__(self, cost: CostModel, cap: Optional[float] = None,
+                 jitter: float = 0.0, rng=None) -> None:
         self.cost = cost
+        self.cap = (cost.backoff_max if cap is None else
+                    min(max(cap, cost.backoff_initial), cost.backoff_max))
+        self.jitter = jitter
+        self.rng = rng
 
     def on_abort(self, type_index: int, attempt: int) -> float:
         doublings = min(attempt - 1, MAX_BACKOFF_DOUBLINGS)
-        pause = self.cost.backoff_initial * (2.0 ** doublings)
-        return min(pause, self.cost.backoff_max)
+        pause = min(self.cost.backoff_initial * (2.0 ** doublings), self.cap)
+        if self.jitter > 0.0:
+            pause *= 1.0 - self.jitter * self.rng.random()
+        return pause
 
     def on_commit(self, type_index: int, attempts: int) -> None:
         pass  # stateless: each invocation starts over
 
     def current(self, type_index: int) -> float:
         return self.cost.backoff_initial
-
-    def snapshot(self) -> dict:
-        """Observability: the (stateless) exponential configuration."""
-        return {"type": "exponential", "initial": self.cost.backoff_initial,
-                "max": self.cost.backoff_max}
 
 
 class NoBackoffManager:
@@ -264,7 +272,3 @@ class NoBackoffManager:
 
     def current(self, type_index: int) -> float:
         return self.pause
-
-    def snapshot(self) -> dict:
-        """Observability: the fixed pause."""
-        return {"type": "none", "pause": self.pause}

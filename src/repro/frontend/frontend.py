@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..config import SimConfig
-from ..core.backoff import MAX_BACKOFF_DOUBLINGS
+from ..core.backoff import ExponentialBackoffManager
 from ..obs.tracing import EventKind, TraceEvent
 from ..rng import spawn_rng
 from .admission import (AdmissionQueue, QueuedInvocation,
@@ -43,6 +43,10 @@ from .admission import (AdmissionQueue, QueuedInvocation,
 #: ``FAULT_RNG_SALT`` and ``EVAL_RNG_SALT``, so open-loop arrivals never
 #: correlate with any other seeded stream
 ARRIVAL_RNG_SALT = 0x41525256  # "ARRV"
+
+#: fraction of each open-loop retry pause randomised away, unless the run's
+#: backoff policy carries its own ``jitter``
+RETRY_JITTER = 0.1
 
 
 class ShardView:
@@ -75,8 +79,9 @@ class Frontend:
     def __init__(self, config: SimConfig, workload, stats,
                  backoff_policy=None, runtime=None) -> None:
         """``backoff_policy`` (a :class:`~repro.core.backoff.BackoffPolicy`)
-        may carry deployment bounds: its ``cap`` tightens the retry cap and
-        its ``jitter`` overrides the configured jitter fraction.
+        may carry deployment bounds for :meth:`make_backoff`: its ``cap``
+        tightens the retry cap and its ``jitter`` overrides
+        :data:`RETRY_JITTER`.
         ``runtime`` (the run's :class:`~repro.cluster.ClusterRuntime`)
         makes the frontend shard-aware; without it there is one shard."""
         fc = config.frontend
@@ -96,19 +101,12 @@ class Frontend:
                        for shard in range(self.n_shards)]
         self.scheduler = None
         self.n_clients = fc.n_clients or config.n_workers
-        self._retry_initial = (fc.retry_initial
-                               if fc.retry_initial is not None
-                               else config.cost.backoff_initial)
-        self._retry_cap = (fc.retry_cap if fc.retry_cap is not None
-                           else config.cost.backoff_max)
-        self._retry_jitter = fc.retry_jitter
+        self._retry_cap = None
+        self._retry_jitter = RETRY_JITTER
         if backoff_policy is not None:
-            if backoff_policy.cap is not None:
-                self._retry_cap = min(self._retry_cap, backoff_policy.cap)
+            self._retry_cap = backoff_policy.cap
             if backoff_policy.jitter is not None:
                 self._retry_jitter = backoff_policy.jitter
-        if self._retry_cap < self._retry_initial:
-            self._retry_cap = self._retry_initial
         #: scripted + fault-injected burst windows: (start, end, factor)
         self._bursts: List[Tuple[float, float, float]] = [
             (start, start + duration, factor)
@@ -251,17 +249,12 @@ class Frontend:
         self.stats.record_queue_wait(now - item.arrival_time, now)
         return item
 
-    def retry_pause(self, attempt: int, rng) -> float:
-        """Capped, jittered exponential backoff for retry ``attempt``
-        (1-based).  The exponent clamp keeps long cascades finite."""
-        doublings = min(attempt - 1, MAX_BACKOFF_DOUBLINGS)
-        pause = self._retry_initial * (2.0 ** doublings)
-        if pause > self._retry_cap:
-            pause = self._retry_cap
-        jitter = self._retry_jitter
-        if jitter > 0.0:
-            pause *= 1.0 - jitter * rng.random()
-        return pause
+    def make_backoff(self, worker) -> ExponentialBackoffManager:
+        """The retry backoff of open-loop ``worker``: Silo's exponential
+        backoff under the backoff policy's cap, jittered from the worker's
+        own RNG."""
+        return ExponentialBackoffManager(self.config.cost, self._retry_cap,
+                                         self._retry_jitter, rng=worker.rng)
 
     def note_done(self, item: QueuedInvocation,
                   outcome: Optional[str]) -> None:

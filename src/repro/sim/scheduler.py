@@ -267,7 +267,7 @@ class Scheduler:
                 # crashed between transactions: stay down, then retry
                 self._schedule_worker(worker, self.now + downtime)
                 return
-        gen = worker._gen  # Worker.advance, inlined for the hot loop
+        gen = worker._gen
         while True:
             try:
                 directive = gen.send(None) if exc is None else gen.throw(exc)

@@ -1,10 +1,20 @@
 """Simulated worker threads.
 
-A worker mirrors one database worker thread from the paper: it draws a
-transaction invocation from the workload, executes it through the installed
-concurrency-control protocol, and on abort backs off and retries the *same*
-invocation until it commits (§7.1's retry-until-success methodology, which
-keeps the committed mix at the workload's specified ratios).
+A worker mirrors one database worker thread from the paper: it takes a
+transaction invocation, executes it through the installed
+concurrency-control protocol, and on abort backs off (§4.5) and retries the
+*same* invocation until it commits (§7.1's retry-until-success methodology,
+which keeps the committed mix at the workload's specified ratios).
+
+One loop serves both client models; they differ only in where the next
+invocation comes from.  A closed-loop worker draws it from the workload the
+moment the previous one finishes, and retries up to ``config.max_retries``
+(unbounded by default) under its protocol's backoff manager.  An open-loop
+worker pulls it from its shard's admission queue (:mod:`repro.frontend`),
+parking on an arrival wait while the queue is empty; the invocation's
+deadline and the frontend's retry budget can end its retries early, its
+pause comes from :meth:`~repro.frontend.Frontend.make_backoff`, and its
+fate is reported back through :meth:`~repro.frontend.Frontend.note_done`.
 
 The worker body is a Python generator; it yields :class:`~repro.sim.events.Cost`
 and :class:`~repro.sim.events.WaitFor` directives that the scheduler
@@ -36,8 +46,7 @@ class Worker:
 
     __slots__ = ("worker_id", "scheduler", "cc", "workload", "stats", "config",
                  "rng", "generation", "park_token", "finished", "current_ctx",
-                 "trace", "faults", "backoff_manager", "deadline",
-                 "deadline_token", "_gen")
+                 "trace", "faults", "deadline", "deadline_token", "_gen")
 
     def __init__(self, worker_id: int, scheduler: "Scheduler", cc, workload,
                  stats: "RunStats", config: "SimConfig",
@@ -54,8 +63,6 @@ class Worker:
         self.trace = scheduler.trace
         #: the scheduler's fault injector, cached for the same reason
         self.faults = scheduler.faults
-        #: this worker's backoff manager, exposed for observability
-        self.backoff_manager = None
         #: bumped on every (re)schedule and park; stale heap events are skipped
         self.generation = 0
         #: bumped on every park; guards wait-timeout callbacks
@@ -73,17 +80,6 @@ class Worker:
 
     # ------------------------------------------------------------------ #
 
-    def advance(self, throw_exc: Optional[BaseException] = None) -> Optional[Directive]:
-        """Resume the worker generator; returns the next directive or
-        ``None`` when the worker has run out of work."""
-        try:
-            if throw_exc is not None:
-                return self._gen.throw(throw_exc)
-            return self._gen.send(None)
-        except StopIteration:
-            self.finished = True
-            return None
-
     def close(self) -> None:
         """Terminate the worker generator deterministically.  Raises
         ``GeneratorExit`` at its current yield point, so an in-flight
@@ -96,226 +92,150 @@ class Worker:
     # ------------------------------------------------------------------ #
 
     def _main(self) -> Generator[Directive, None, None]:
-        if self.scheduler.frontend is not None:
-            yield from self._open_loop(self.scheduler.frontend)
-            return
-        backoff = self.cc.make_backoff(self)
-        self.backoff_manager = backoff
-        trace = self.trace
-        accountant = self.scheduler.accountant
-        durability = self.scheduler.durability
-        while True:
-            invocation = self.workload.next_invocation(self.rng, self.worker_id)
-            if invocation is None:
-                return  # workload exhausted (trace replay mode)
-            first_start = self.scheduler.now
-            attempt = 0
-            while True:
-                if trace.enabled:
-                    trace.emit(TraceEvent(
-                        self.scheduler.now, EventKind.TX_START, self.worker_id,
-                        txn_type=invocation.type_name,
-                        attrs={"attempt": attempt}))
-                try:
-                    yield from self.cc.run_transaction(self, invocation, attempt,
-                                                       first_start)
-                except TransactionAborted as exc:
-                    self.current_ctx = None
-                    now = self.scheduler.now
-                    self.stats.record_abort(invocation.type_name, now, exc.reason)
-                    if accountant is not None:
-                        accountant.on_attempt_end(self.worker_id,
-                                                  committed=False)
-                    if trace.enabled:
-                        attrs = {"reason": exc.reason, "attempt": attempt}
-                        site = getattr(exc, "site", None)
-                        if site is not None:
-                            attrs["table"] = site[0]
-                            attrs["key"] = list(site[1])
-                        trace.emit(TraceEvent(
-                            now, EventKind.ABORT, self.worker_id,
-                            txn_type=invocation.type_name, attrs=attrs))
-                    attempt += 1
-                    if exc.reject_reason is not None:
-                        # degraded mode: the request was *rejected* (its
-                        # target shard is down) — retrying cannot succeed
-                        # until the cluster heals, so the closed-loop
-                        # client moves on to its next request
-                        break
-                    limit = self.config.max_retries
-                    if limit is not None and attempt > limit:
-                        break  # give up (test configurations only)
-                    pause = backoff.on_abort(invocation.type_index, attempt)
-                    if self.faults is not None:
-                        # a crash keeps the worker down for its restart
-                        # delay on top of the ordinary retry backoff
-                        pause += self.faults.take_restart_delay(self.worker_id)
-                    if pause > 0:
-                        self.stats.record_backoff(pause, now)
-                        if trace.enabled:
-                            trace.emit(TraceEvent(
-                                self.scheduler.now, EventKind.BACKOFF,
-                                self.worker_id,
-                                txn_type=invocation.type_name,
-                                attrs={"pause": pause,
-                                       "level": backoff.current(
-                                           invocation.type_index)}))
-                        yield Cost(pause, CostKind.BACKOFF)
-                    continue
-                self.current_ctx = None
-                now = self.scheduler.now
-                self.scheduler.last_commit_time = now
-                backoff.on_commit(invocation.type_index, attempt)
-                if durability is None:
-                    self.stats.record_commit(invocation.type_name, now,
-                                             now - first_start)
-                if accountant is not None:
-                    accountant.on_attempt_end(self.worker_id, committed=True)
-                log_cost = 0.0
-                if durability is not None:
-                    # group commit: the ack (stats.record_commit) happens
-                    # when this epoch's flush completes; the worker only
-                    # pays its buffered log-append cost here
-                    log_cost = durability.consume_log_cost(self.worker_id)
-                if trace.enabled:
-                    attrs = {"attempts": attempt + 1,
-                             "latency": now - first_start}
-                    if durability is not None:
-                        attrs["log_cost"] = log_cost
-                    trace.emit(TraceEvent(
-                        now, EventKind.COMMIT, self.worker_id,
-                        txn_type=invocation.type_name, attrs=attrs))
-                if log_cost > 0.0:
-                    yield Cost(log_cost)
-                break
-
-    # ------------------------------------------------------------------ #
-    # open-loop mode (repro.frontend)
-
-    def _open_loop(self, frontend) -> Generator[Directive, None, None]:
-        """Pull invocations from the admission queue instead of drawing
-        them; park on an arrival wait when the queue is empty.  Retries are
-        bounded by the frontend's retry budget and deadline rather than
-        running until success."""
-        self.backoff_manager = self.cc.make_backoff(self)
-        view = frontend.view_for(self.worker_id)
-        arrival_wait = WaitFor(view.has_work, WaitKind.ARRIVAL,
-                               abort_on_break=False, wake_keys=(view,))
-        while True:
-            item = view.next_item()
-            if item is None:
-                yield arrival_wait
-                continue
-            yield from self._run_item(frontend, item)
-
-    def _run_item(self, frontend,
-                  item) -> Generator[Directive, None, None]:
-        invocation = item.invocation
         scheduler = self.scheduler
+        frontend = scheduler.frontend
         trace = self.trace
         accountant = scheduler.accountant
         durability = scheduler.durability
-        retry_budget = frontend.fc.retry_budget
-        self.deadline = item.deadline
-        self.deadline_token += 1
-        if item.deadline is not None:
-            scheduler.arm_deadline(self, item.deadline, self.deadline_token)
-        first_start = item.arrival_time
-        attempt = 0
-        outcome = None
-        try:
-            while True:
-                now = scheduler.now
-                if self.deadline is not None and now >= self.deadline:
-                    # the deadline passed between attempts (e.g. during a
-                    # retry backoff): no retry can make the SLO
-                    outcome = "deadline_inflight"
-                    return
-                if trace.enabled:
-                    trace.emit(TraceEvent(
-                        now, EventKind.TX_START, self.worker_id,
-                        txn_type=invocation.type_name,
-                        attrs={"attempt": attempt}))
-                try:
-                    yield from self.cc.run_transaction(self, invocation,
-                                                       attempt, first_start)
-                except TransactionAborted as exc:
+        item = deadline = None
+        if frontend is None:
+            backoff = self.cc.make_backoff(self)
+            limit = self.config.max_retries
+        else:
+            backoff = frontend.make_backoff(self)
+            limit = frontend.fc.retry_budget
+            view = frontend.view_for(self.worker_id)
+            arrival_wait = WaitFor(view.has_work, WaitKind.ARRIVAL,
+                                   abort_on_break=False, wake_keys=(view,))
+        while True:
+            if frontend is None:
+                invocation = self.workload.next_invocation(self.rng,
+                                                           self.worker_id)
+                if invocation is None:
+                    return  # workload exhausted (trace replay mode)
+                first_start = scheduler.now
+            else:
+                item = view.next_item()
+                if item is None:
+                    yield arrival_wait
+                    continue
+                invocation = item.invocation
+                first_start = item.arrival_time
+                deadline = self.deadline = item.deadline
+                self.deadline_token += 1
+                if deadline is not None:
+                    scheduler.arm_deadline(self, deadline,
+                                           self.deadline_token)
+            attempt = 0
+            outcome = None
+            try:
+                while True:
+                    if deadline is not None and scheduler.now >= deadline:
+                        # the deadline passed between attempts (e.g. during
+                        # a retry backoff): no retry can make the SLO
+                        outcome = "deadline_inflight"
+                        break
+                    if trace.enabled:
+                        trace.emit(TraceEvent(
+                            scheduler.now, EventKind.TX_START,
+                            self.worker_id, txn_type=invocation.type_name,
+                            attrs={"attempt": attempt}))
+                    try:
+                        yield from self.cc.run_transaction(
+                            self, invocation, attempt, first_start)
+                    except TransactionAborted as exc:
+                        self.current_ctx = None
+                        now = scheduler.now
+                        self.stats.record_abort(invocation.type_name, now,
+                                                exc.reason)
+                        if accountant is not None:
+                            accountant.on_attempt_end(self.worker_id,
+                                                      committed=False)
+                        if trace.enabled:
+                            attrs = {"reason": exc.reason, "attempt": attempt}
+                            site = getattr(exc, "site", None)
+                            if site is not None:
+                                attrs["table"] = site[0]
+                                attrs["key"] = list(site[1])
+                            trace.emit(TraceEvent(
+                                now, EventKind.ABORT, self.worker_id,
+                                txn_type=invocation.type_name, attrs=attrs))
+                        attempt += 1
+                        if exc.reject_reason is not None:
+                            # permanent rejection (its target shard is
+                            # down): retrying cannot succeed until the
+                            # cluster heals, so give the invocation up
+                            # under the exception's reason
+                            outcome = exc.reject_reason
+                            break
+                        if deadline is not None and (
+                                exc.reason == AbortReason.DEADLINE
+                                or now >= deadline):
+                            outcome = "deadline_inflight"
+                            break
+                        if limit is not None and attempt > limit:
+                            outcome = "retry_budget"
+                            break
+                        pause = backoff.on_abort(invocation.type_index,
+                                                 attempt)
+                        if self.faults is not None:
+                            # a crash keeps the worker down for its restart
+                            # delay on top of the ordinary retry backoff
+                            pause += self.faults.take_restart_delay(
+                                self.worker_id)
+                        if pause > 0:
+                            self.stats.record_backoff(pause, now)
+                            if trace.enabled:
+                                # ``level`` has a meaning per client model:
+                                # the manager's level in closed loop, the
+                                # attempt count in open loop
+                                level = (attempt if frontend is not None
+                                         else backoff.current(
+                                             invocation.type_index))
+                                trace.emit(TraceEvent(
+                                    scheduler.now, EventKind.BACKOFF,
+                                    self.worker_id,
+                                    txn_type=invocation.type_name,
+                                    attrs={"pause": pause, "level": level}))
+                            yield Cost(pause, CostKind.BACKOFF)
+                        continue
                     self.current_ctx = None
                     now = scheduler.now
-                    self.stats.record_abort(invocation.type_name, now,
-                                            exc.reason)
+                    scheduler.last_commit_time = now
+                    backoff.on_commit(invocation.type_index, attempt)
+                    if durability is None:
+                        self.stats.record_commit(invocation.type_name, now,
+                                                 now - first_start,
+                                                 deadline=deadline)
                     if accountant is not None:
                         accountant.on_attempt_end(self.worker_id,
-                                                  committed=False)
-                    if trace.enabled:
-                        attrs = {"reason": exc.reason, "attempt": attempt}
-                        site = getattr(exc, "site", None)
-                        if site is not None:
-                            attrs["table"] = site[0]
-                            attrs["key"] = list(site[1])
-                        trace.emit(TraceEvent(
-                            now, EventKind.ABORT, self.worker_id,
-                            txn_type=invocation.type_name, attrs=attrs))
-                    attempt += 1
-                    if exc.reject_reason is not None:
-                        # permanent rejection (e.g. the target shard is
-                        # down): shed under the exception's reason rather
-                        # than burning the retry budget on a lost cause
-                        outcome = exc.reject_reason
-                        return
-                    if exc.reason == AbortReason.DEADLINE or (
-                            self.deadline is not None
-                            and now >= self.deadline):
-                        outcome = "deadline_inflight"
-                        return
-                    if retry_budget is not None and attempt > retry_budget:
-                        outcome = "retry_budget"
-                        return
-                    pause = frontend.retry_pause(attempt, self.rng)
-                    if self.faults is not None:
-                        pause += self.faults.take_restart_delay(
-                            self.worker_id)
-                    if pause > 0:
-                        self.stats.record_backoff(pause, now)
-                        if trace.enabled:
-                            trace.emit(TraceEvent(
-                                now, EventKind.BACKOFF, self.worker_id,
-                                txn_type=invocation.type_name,
-                                attrs={"pause": pause, "level": attempt}))
-                        yield Cost(pause, CostKind.BACKOFF)
-                    continue
-                self.current_ctx = None
-                now = scheduler.now
-                scheduler.last_commit_time = now
-                if durability is None:
-                    self.stats.record_commit(invocation.type_name, now,
-                                             now - first_start,
-                                             deadline=self.deadline)
-                if accountant is not None:
-                    accountant.on_attempt_end(self.worker_id, committed=True)
-                log_cost = 0.0
-                if durability is not None:
-                    # the ack (and its SLO verdict) waits for the epoch
-                    # flush; the record carries the deadline there
-                    log_cost = durability.consume_log_cost(self.worker_id)
-                if trace.enabled:
-                    attrs = {"attempts": attempt + 1,
-                             "latency": now - first_start}
-                    if self.deadline is not None:
-                        attrs["deadline_met"] = now <= self.deadline
+                                                  committed=True)
+                    log_cost = 0.0
                     if durability is not None:
-                        attrs["log_cost"] = log_cost
-                    trace.emit(TraceEvent(
-                        now, EventKind.COMMIT, self.worker_id,
-                        txn_type=invocation.type_name, attrs=attrs))
-                outcome = "commit"
-                if log_cost > 0.0:
-                    yield Cost(log_cost)
-                return
-        finally:
-            self.deadline = None
-            self.deadline_token += 1  # disarm any scheduled deadline fire
-            frontend.note_done(item, outcome)
+                        # group commit: the ack (and its SLO verdict) waits
+                        # for this epoch's flush; the worker only pays its
+                        # buffered log-append cost here
+                        log_cost = durability.consume_log_cost(
+                            self.worker_id)
+                    if trace.enabled:
+                        attrs = {"attempts": attempt + 1,
+                                 "latency": now - first_start}
+                        if deadline is not None:
+                            attrs["deadline_met"] = now <= deadline
+                        if durability is not None:
+                            attrs["log_cost"] = log_cost
+                        trace.emit(TraceEvent(
+                            now, EventKind.COMMIT, self.worker_id,
+                            txn_type=invocation.type_name, attrs=attrs))
+                    outcome = "commit"
+                    if log_cost > 0.0:
+                        yield Cost(log_cost)
+                    break
+            finally:
+                if item is not None:
+                    self.deadline = None
+                    self.deadline_token += 1  # disarm any deadline fire
+                    frontend.note_done(item, outcome)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Worker({self.worker_id})"

@@ -1,5 +1,7 @@
 """Backoff policy and manager tests (§4.5)."""
 
+import random
+
 import pytest
 
 from repro.config import CostModel
@@ -126,6 +128,45 @@ class TestExponentialManager:
         manager.on_abort(0, 5)
         manager.on_commit(0, 5)
         assert manager.on_abort(0, 1) == 4.0
+
+    def test_no_cap_gives_the_uncapped_values(self):
+        cost = CostModel(backoff_initial=4.0, backoff_max=100.0)
+        plain = ExponentialBackoffManager(cost)
+        explicit = ExponentialBackoffManager(cost, cap=None, jitter=0.0)
+        pauses = [4.0, 8.0, 16.0, 32.0, 64.0, 100.0, 100.0]
+        for attempt, pause in enumerate(pauses, start=1):
+            assert plain.on_abort(0, attempt) == pause
+            assert explicit.on_abort(0, attempt) == pause
+
+    @pytest.mark.parametrize("cap,effective", [
+        (30.0, 30.0), (0.5, 4.0), (4.0, 4.0), (1e9, 100.0)])
+    def test_cap_clamped_between_initial_and_max(self, cap, effective):
+        manager = ExponentialBackoffManager(
+            CostModel(backoff_initial=4.0, backoff_max=100.0), cap=cap)
+        assert manager.on_abort(0, 1) == 4.0
+        assert manager.on_abort(0, 50) == effective
+
+    def test_jitter_draws_only_from_the_given_rng(self):
+        cost = CostModel(backoff_initial=4.0, backoff_max=100.0)
+        manager = ExponentialBackoffManager(cost, jitter=0.4,
+                                            rng=random.Random(3))
+        reference = random.Random(3)
+        global_state = random.getstate()
+        for attempt in range(1, 8):
+            full = min(4.0 * 2.0 ** (attempt - 1), 100.0)
+            assert manager.on_abort(0, attempt) == \
+                full * (1.0 - 0.4 * reference.random())
+        assert manager.rng.getstate() == reference.getstate()
+        assert random.getstate() == global_state
+
+    def test_zero_jitter_draws_nothing(self):
+        rng = random.Random(3)
+        state = rng.getstate()
+        manager = ExponentialBackoffManager(
+            CostModel(backoff_initial=4.0, backoff_max=100.0), jitter=0.0,
+            rng=rng)
+        assert [manager.on_abort(0, a) for a in (1, 2, 3)] == [4.0, 8.0, 16.0]
+        assert rng.getstate() == state
 
 
 def test_no_backoff_manager():

@@ -36,11 +36,11 @@ def test_arrivals_per_tick():
     ({"deadline": float("nan")}, "deadline"),
     ({"retry_budget": -1}, "retry_budget"),
     ({"shed_policy": "drop-table"}, "shed_policy"),
-    ({"retry_initial": -2.0}, "retry_initial"),
-    ({"retry_cap": float("inf")}, "retry_cap"),
-    ({"retry_jitter": -0.1}, "retry_jitter"),
-    ({"retry_jitter": 1.5}, "retry_jitter"),
-    ({"retry_jitter": float("nan")}, "retry_jitter"),
+    ({"deadline": float("inf")}, "deadline"),
+    ({"bursts": ((0.0, 10.0),)}, "burst"),
+    ({"bursts": ((0.0, float("inf"), 2.0),)}, "burst"),
+    ({"priorities": (("pay",),)}, "priorities"),
+    ({"priorities": ((1, 2.0),)}, "priorities"),
     ({"n_clients": -1}, "n_clients"),
     ({"bursts": ((-1.0, 10.0, 2.0),)}, "burst"),
     ({"bursts": ((0.0, 0.0, 2.0),)}, "burst"),

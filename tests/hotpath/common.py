@@ -25,6 +25,12 @@ paths the four ``*-open_loop`` cells and ``polyjuice-cluster2-open_loop-
 durable`` leave cold: every shed reason under overload, and degraded-mode
 shedding while a shard is down.  Their digests add the frontend's
 conservation ledger and a SHA-256 over the timeline rows.
+
+The ``BACKOFF_CELLS`` pin what no other cell passes: a learned
+:class:`~repro.core.backoff.BackoffPolicy` (§4.5).  Closed loop runs its
+table under the policy's ``cap``; open loop retries with the frontend's
+exponential backoff under the policy's ``cap`` and ``jitter`` overrides,
+including a ``cap`` below ``backoff_initial``, which is clamped up to it.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from repro.bench.runner import run_named
 from repro.cluster.workloads import make_cluster_tpcc_factory
 from repro.config import (ClusterConfig, DurabilityConfig, FrontendConfig,
                           SimConfig)
+from repro.core.backoff import BackoffPolicy
 from repro.core.ops import UpdateOp
 from repro.core.protocol import TxnInvocation
 from repro.faults.plan import FaultPlan, ScriptedFault
@@ -137,11 +144,28 @@ ADMISSION_CELLS = {
 }
 
 
+#: a learned backoff table for the counter workload's one transaction type:
+#: alpha indices per (status committed / aborted, prior-abort bucket)
+_BACKOFF_TABLE = [[[1, 2, 3], [4, 3, 5]]]
+
+#: name -> (mode, backoff policy); polyjuice under the OCC seed policy
+BACKOFF_CELLS = {
+    "polyjuice-closed-learned_backoff":
+        ("closed", BackoffPolicy(1, _BACKOFF_TABLE, cap=300.0)),
+    "polyjuice-open_loop-learned_backoff":
+        ("open_loop", BackoffPolicy(1, _BACKOFF_TABLE, cap=60.0,
+                                    jitter=0.4)),
+    "polyjuice-open_loop-backoff_cap_below_initial":
+        ("open_loop", BackoffPolicy(1, _BACKOFF_TABLE, cap=2.0)),
+}
+
+
 def cell_names():
     names = [f"{cc}-{mode}" for cc in PROTOCOLS for mode in MODES]
     names.append("polyjuice-faults")
     names.extend(CRASH_CELLS)
     names.extend(ADMISSION_CELLS)
+    names.extend(BACKOFF_CELLS)
     return names
 
 
@@ -230,8 +254,11 @@ def run_cell(name: str, obs: bool = True):
     """Run one matrix cell; returns (digest dict, ExperimentResult)."""
     if name in ADMISSION_CELLS:
         return run_admission_cell(name)
-    n_keys, n_accesses, fault_plan = N_KEYS, N_ACCESSES, None
-    if name in CRASH_CELLS:
+    n_keys, n_accesses, fault_plan, backoff = N_KEYS, N_ACCESSES, None, None
+    if name in BACKOFF_CELLS:
+        mode, backoff = BACKOFF_CELLS[name]
+        cc_name, config = "polyjuice", _config(mode)
+    elif name in CRASH_CELLS:
         cc_name, config, n_keys, n_accesses, fault_plan = \
             _crash_cell_setup(name)
     elif name == "polyjuice-faults":
@@ -246,7 +273,7 @@ def run_cell(name: str, obs: bool = True):
     result = run_named(
         lambda: OrderedCounterWorkload(n_keys=n_keys, n_accesses=n_accesses),
         cc_name, config, policy=_policy_for(cc_name, n_accesses),
-        trace_sink=sink, metrics=metrics, fault_plan=fault_plan)
+        backoff_policy=backoff, trace_sink=sink, metrics=metrics, fault_plan=fault_plan)
     digest = {"summary": result.stats.summary()}
     if obs:
         digest["trace_sha"] = _trace_sha(sink)
