@@ -35,6 +35,9 @@ def test_fig8a_tpce(once):
           ["theta"] + CCS + ["polyjuice"], rows)
     emit("Fig 8a learned backoff alphas (per type: commit/abort rows)",
          str(backoff.to_dict()))
+    # every protocol commits at every theta (IC3 and 2PL once deadlocked
+    # at theta >= 2, and the ratio checks below passed on 0 >= 0)
+    assert all(tps > 0 for row in rows for tps in row[1:]), rows
     # contention collapses throughput
     assert rows[0][1] > rows[-1][1] * 2
     # at the trained contention point polyjuice is competitive with the best

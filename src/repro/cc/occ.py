@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Generator, Optional, TYPE_CHECKING
 
 from ..errors import AbortReason, TransactionAborted, WorkloadError
-from ..obs.tracing import FinalValidateEvent
-from ..sim.events import Cost, WaitFor, WaitKind
+from ..sim.events import Cost
 from ..core import validation
 from ..core.context import ReadEntry, TxnContext, TxnStatus, WriteEntry
 from ..core.backoff import ExponentialBackoffManager
@@ -140,38 +139,7 @@ class SiloOCC(ConcurrencyControl):
     # ------------------------------------------------------------------ #
 
     def _commit(self, ctx: TxnContext) -> Generator:
-        cost = self.config.cost
-        # lock the write set in global key order, accumulating the cost and
-        # flushing it only when we must block (keeps the event count low)
-        pending = cost.commit_base
-        for wentry in sorted(ctx.wset.values(), key=lambda w: (w.table, w.key)):
-            record = wentry.record
-            while not record.try_lock(ctx):
-                if pending:
-                    yield Cost(pending)
-                    pending = 0.0
-                owner = record.lock_owner
-                yield WaitFor(
-                    lambda record=record: not record.is_locked_by_other(ctx),
-                    WaitKind.LOCK, (owner,) if owner is not None else (),
-                    wake_keys=(record,))
-            pending += cost.lock_acquire
-        pending += cost.validate_read * len(ctx.rset)
-        pending += cost.install_write * len(ctx.wset)
-        yield Cost(pending)
-        worker = ctx.worker
-        if worker is not None and worker.trace.enabled:
-            worker.trace.emit(FinalValidateEvent(
-                worker.scheduler.now, worker.worker_id, ctx.txn_id,
-                ctx.type_name, len(ctx.rset), len(ctx.wset)))
-        for rentry in ctx.rset.values():
-            if rentry.record is None:
-                continue
-            if not validation.read_entry_final_ok(ctx, rentry):
-                raise TransactionAborted(
-                    AbortReason.VALIDATION,
-                    f"read of {rentry.table}{rentry.key} invalidated",
-                    site=(rentry.table, rentry.key))
+        yield from validation.lock_and_validate(ctx, self.config.cost)
         for wentry in sorted(ctx.wset.values(), key=lambda w: w.order):
             value = dict(wentry.value) if wentry.value is not None else None
             vid = ctx.next_version_id()

@@ -103,12 +103,12 @@ class TwoPL(ConcurrencyControl):
                 raise TransactionAborted(AbortReason.LOCK_DIE,
                                          f"wait-die on {table}{key}",
                                          site=(table, key))
-            holders = self.locks.holders(table, key)
+            locks = self.locks
             yield WaitFor(
-                lambda table=table, key=key, mode=mode:
-                    self.locks.is_free_for(ctx, table, key, mode),
-                WaitKind.LOCK, holders,
-                wake_keys=(self.locks.wake_key(table, key),))
+                lambda: locks.is_free_for(ctx, table, key, mode),
+                WaitKind.LOCK, locks.holders(table, key),
+                wake_keys=(locks.wake_key(table, key),),
+                holders=lambda: locks.holders(table, key) - {ctx})
 
     def _execute_op(self, ctx: TxnContext, op) -> Generator:
         cost = self.config.cost

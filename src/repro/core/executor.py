@@ -35,7 +35,7 @@ from typing import Generator, Iterable, Optional, TYPE_CHECKING
 
 from ..errors import AbortReason, PieceRetry, TransactionAborted, WorkloadError
 from ..obs.tracing import (AccessEvent, EarlyValidateEvent, EventKind,
-                           FinalValidateEvent, TraceEvent)
+                           TraceEvent)
 from ..sim.events import Cost, WaitFor, WaitKind
 from ..storage.access_list import AccessEntry, AccessKind
 from . import validation
@@ -58,7 +58,6 @@ MAX_PIECE_RETRIES = 200
 
 _ACTIVE = TxnStatus.ACTIVE
 _ORDER_KEY = attrgetter("order")
-_SITE_KEY = attrgetter("table", "key")
 
 
 class CompiledRow:
@@ -698,7 +697,6 @@ class PolicyExecutor(ConcurrencyControl):
     # final commit (§4.4)
 
     def _commit(self, ctx: TxnContext) -> Generator:
-        cost = self.config.cost
         # reaching the commit phase completes every access site
         ctx.note_progress(self._last_access[ctx.type_index])
         # step 1: wait for every dependency to finish committing/aborting
@@ -715,38 +713,8 @@ class PolicyExecutor(ConcurrencyControl):
         if ctx.doomed:
             raise TransactionAborted(AbortReason.DIRTY_READ_OF_ABORTED,
                                      "dirty-read source aborted")
-        # step 2: lock the write set in a global order (no deadlocks),
-        # accumulating the cost and flushing only when we must block
-        pending = cost.commit_base
-        for wentry in sorted(ctx.wset.values(), key=_SITE_KEY):
-            record = wentry.record
-            while not record.try_lock(ctx):
-                if pending:
-                    yield Cost(pending)
-                    pending = 0.0
-                owner = record.lock_owner
-                yield WaitFor(
-                    lambda record=record: not record.is_locked_by_other(ctx),
-                    WaitKind.LOCK, (owner,) if owner is not None else (),
-                    wake_keys=(record,))
-            pending += cost.lock_acquire
-        pending += cost.validate_read * len(ctx.rset)
-        pending += cost.install_write * len(ctx.wset)
-        yield Cost(pending)
-        worker = ctx.worker
-        if worker is not None and worker.trace.enabled:
-            worker.trace.emit(FinalValidateEvent(
-                worker.scheduler.now, worker.worker_id, ctx.txn_id,
-                ctx.type_name, len(ctx.rset), len(ctx.wset)))
-        # step 3: validate the read set
-        for rentry in ctx.rset.values():
-            if rentry.record is None:
-                continue
-            if not validation.read_entry_final_ok(ctx, rentry):
-                raise TransactionAborted(
-                    AbortReason.VALIDATION,
-                    f"read of {rentry.table}{rentry.key} invalidated",
-                    site=(rentry.table, rentry.key))
+        # steps 2-3: lock the write set, validate the read set (Silo's)
+        yield from validation.lock_and_validate(ctx, self.config.cost)
         # step 4: install writes, then release locks / scrub access lists
         for wentry in sorted(ctx.wset.values(), key=_ORDER_KEY):
             if wentry.dirty_since_expose or wentry.exposed_vid is None:

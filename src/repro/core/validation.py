@@ -16,13 +16,20 @@ its observed version can no longer be the committed version at our commit:
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from operator import attrgetter
+from typing import Generator, List, Optional, Tuple, TYPE_CHECKING
 
-from ..obs.tracing import EventKind, TraceEvent
+from ..errors import AbortReason, TransactionAborted
+from ..obs.tracing import EventKind, FinalValidateEvent, TraceEvent
+from ..sim.events import Cost, WaitFor, WaitKind
 from .context import ReadEntry, TxnContext, TxnStatus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..config import CostModel
     from ..storage.database import Database
+    from ..storage.record import Record
+
+_SITE_KEY = attrgetter("table", "key")
 
 
 def read_entry_doomed(ctx: TxnContext, entry: ReadEntry) -> Optional[str]:
@@ -72,6 +79,50 @@ def read_entry_final_ok(ctx: TxnContext, entry: ReadEntry) -> bool:
     if record.is_locked_by_other(ctx):
         return False
     return record.version_id == entry.version_id
+
+
+def lock_and_validate(ctx: TxnContext, cost: "CostModel") -> Generator:
+    """Silo's commit steps 2-3, shared by Silo and Polyjuice: lock the
+    write set in a global order (no deadlocks among committers), charge
+    the lock / validate / install cost, then validate the read set —
+    raising :class:`TransactionAborted` on the first stale read.
+
+    The cost accumulates and is flushed only when a lock must be waited
+    for, which keeps the event count low.  A lock wait's wait-for edge is
+    the record's live lock owner."""
+    pending = cost.commit_base
+    for wentry in sorted(ctx.wset.values(), key=_SITE_KEY):
+        record = wentry.record
+        while not record.try_lock(ctx):
+            if pending:
+                yield Cost(pending)
+                pending = 0.0
+            yield WaitFor(
+                lambda record=record: not record.is_locked_by_other(ctx),
+                WaitKind.LOCK, (record.lock_owner,), wake_keys=(record,),
+                holders=lambda record=record: _live_owner(record))
+        pending += cost.lock_acquire
+    pending += cost.validate_read * len(ctx.rset)
+    pending += cost.install_write * len(ctx.wset)
+    yield Cost(pending)
+    worker = ctx.worker
+    if worker is not None and worker.trace.enabled:
+        worker.trace.emit(FinalValidateEvent(
+            worker.scheduler.now, worker.worker_id, ctx.txn_id,
+            ctx.type_name, len(ctx.rset), len(ctx.wset)))
+    for rentry in ctx.rset.values():
+        if rentry.record is None:
+            continue
+        if not read_entry_final_ok(ctx, rentry):
+            raise TransactionAborted(
+                AbortReason.VALIDATION,
+                f"read of {rentry.table}{rentry.key} invalidated",
+                site=(rentry.table, rentry.key))
+
+
+def _live_owner(record: "Record") -> Tuple[TxnContext, ...]:
+    owner = record.lock_owner
+    return () if owner is None else (owner,)
 
 
 def scrub(ctx: TxnContext) -> None:

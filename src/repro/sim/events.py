@@ -80,26 +80,35 @@ class WaitFor:
             ``dep_ctxs`` nor ``wake_keys`` cannot be woken; the scheduler
             refuses to park on it.
         kind: a :class:`WaitKind` value.
-        dep_ctxs: the transactions being waited on — used both as the
-            scheduler's subscription keys and for wait-for-graph cycle
-            detection.
+        dep_ctxs: the transactions being waited on when the wait was made —
+            the scheduler's subscription keys and the trace's dependency
+            attribution.
         abort_on_break: if a cycle or timeout breaks the wait, ``True`` means
             the waiter aborts (correctness waits), ``False`` means it simply
             proceeds (performance waits).
         wake_keys: extra hashable subscription keys beyond ``dep_ctxs``
             (e.g. the :class:`~repro.storage.record.Record` whose commit
             lock is awaited, or a :meth:`LockTable.wake_key
-            <repro.storage.locks.LockTable.wake_key>`); they take no part
-            in cycle detection.
+            <repro.storage.locks.LockTable.wake_key>`).
+        holders: set on lock waits only: a zero-argument callable returning
+            the lock's *current* holders other than the requester.
+
+    The wait's edges in the scheduler's wait-for graph are :meth:`edges`:
+    a lock wait's are live — read through ``holders`` whenever the graph
+    is searched, because holders granted after the park block the waiter
+    as much as the ones it saw — and a commit / progress wait's are its
+    ``dep_ctxs``, which change only by terminating.
     """
 
     __slots__ = ("condition", "kind", "dep_ctxs", "abort_on_break",
-                 "wake_keys")
+                 "wake_keys", "holders")
 
     def __init__(self, condition: Callable[[], bool], kind: str,
                  dep_ctxs: Optional[Iterable["TxnContext"]] = None,
                  abort_on_break: Optional[bool] = None,
-                 wake_keys: Iterable[object] = ()) -> None:
+                 wake_keys: Iterable[object] = (),
+                 holders: Optional[Callable[[], Iterable["TxnContext"]]]
+                 = None) -> None:
         self.condition = condition
         self.kind = kind
         self.dep_ctxs: FrozenSet["TxnContext"] = frozenset(dep_ctxs or ())
@@ -107,6 +116,13 @@ class WaitFor:
             abort_on_break = kind != WaitKind.PROGRESS
         self.abort_on_break = abort_on_break
         self.wake_keys: Tuple[object, ...] = tuple(wake_keys)
+        self.holders = holders
+
+    def edges(self) -> Iterable["TxnContext"]:
+        """The transactions this wait blocks on now (terminal ones
+        included; the scheduler skips them)."""
+        holders = self.holders
+        return self.dep_ctxs if holders is None else holders()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"WaitFor(kind={self.kind}, deps={len(self.dep_ctxs)})"

@@ -19,14 +19,25 @@ dependencies nor wake keys could only ever end by timeout, so parking on
 one is a :class:`~repro.errors.SchedulerError`.
 
 Wait-for cycles (mutual dependency deadlocks) are detected when a worker
-parks.  If the new edge closes a cycle through a correctness wait
+parks — the only moment a cycle can close, since every other new edge
+points at a running worker (a lock granted, a lock changing hands).  The
+graph has one definition, :meth:`WaitFor.edges`, read by the cycle search
+and the watchdog's diagnostics alike: a lock wait's edges are the lock's
+*current* holders other than the requester, a commit / progress wait's its
+active ``dep_ctxs``.  If the park closes a cycle through a correctness wait
 (commit-phase dependency waits and lock waits), the *youngest* transaction
 in the cycle is aborted — it has the fewest transactions depending on it,
-so the cascade it seeds is smallest; when the youngest is not the parking
-worker itself, the parker stays parked and the victim is aborted at its
-own wait.  Performance waits (the paper's execution-time wait actions,
-which are hints) simply proceed.  A wait timeout provides a second-line
-safety valve.
+so the cascade it seeds is smallest.  One park can close several cycles:
+when the youngest is another worker, it is aborted at its own wait and the
+search runs again from the parker, until the parker lies on no cycle or is
+itself the victim.  Performance waits (the paper's execution-time wait
+actions, which are hints) simply proceed.  A wait timeout provides a
+second-line safety valve.
+
+The search is skipped when the subscription index proves no edge enters
+the parker.  That shortcut is exact only for dependency edges (a commit /
+progress waiter subscribes on each of its ``dep_ctxs``); lock edges are
+read live, so it applies only while no other lock waiter is parked.
 """
 
 from __future__ import annotations
@@ -106,6 +117,9 @@ class Scheduler:
         self._seq = itertools.count()
         self._workers: List[Worker] = []
         self._parked: Dict[Worker, WaitFor] = {}
+        #: parked workers whose wait has live lock edges (WaitFor.holders):
+        #: the subscription index does not cover those edges
+        self._lock_waiters = 0
         self._park_start: Dict[Worker, float] = {}
         #: monotonically increasing park ticket per parked worker; wake-up
         #: candidates are evaluated in park order (the deterministic
@@ -337,28 +351,32 @@ class Scheduler:
                     ctx.txn_id if ctx is not None else None,
                     ctx.type_name if ctx is not None else None,
                     attrs))
+            # break every cycle the park closed: abort the youngest member
+            # of each, and search again while the parker itself survives
             cycle = self._find_cycle(worker)
-            if cycle is not None:
+            while cycle is not None:
                 self.cycle_breaks += 1
                 if not wait.abort_on_break:
                     # performance wait: the waiter just proceeds
                     self._unpark(worker, outcome="cycle")
                     self._exempt_wait(worker, wait)
-                    continue
+                    break
                 victim = self._pick_cycle_victim(cycle)
                 if victim is worker:
                     self._unpark(worker, outcome="cycle")
                     exc = TransactionAborted(AbortReason.WAIT_CYCLE)
-                    continue
-                # the youngest is elsewhere in the cycle: abort it at its
-                # own wait (the edge it contributed disappears, so the
-                # cycle is broken) and leave the parker parked
+                    break
+                # abort the victim at its own wait: unparked, its edges
+                # leave the graph, so this cycle is gone
                 self._unpark(victim, outcome="cycle")
                 self._pending_exc[victim] = \
                     TransactionAborted(AbortReason.WAIT_CYCLE)
                 self._schedule_worker(victim, self.now)
-            self._arm_timeout(worker, worker.park_token)
-            break
+                cycle = self._find_cycle(worker)
+            else:
+                # on no cycle any more: the parker stays parked
+                self._arm_timeout(worker, worker.park_token)
+                break
         if self._dirty:
             self._notify_parked()
 
@@ -371,6 +389,8 @@ class Scheduler:
                 f"{wait.kind} wait declares neither dep_ctxs nor wake_keys: "
                 "nothing could wake it before its timeout")
         self._parked[worker] = wait
+        if wait.holders is not None:
+            self._lock_waiters += 1
         self._park_start[worker] = self.now
         self._park_order[worker] = next(self._park_counter)
         ctx = worker.current_ctx
@@ -431,6 +451,8 @@ class Scheduler:
 
     def _unpark(self, worker: Worker, outcome: str = "satisfied") -> None:
         wait = self._parked.pop(worker)
+        if wait.holders is not None:
+            self._lock_waiters -= 1
         start = self._park_start.pop(worker, self.now)
         del self._park_order[worker]
         for key in self._sub_keys.pop(worker):
@@ -491,15 +513,15 @@ class Scheduler:
         if wait is None:
             return []
         result = []
-        for ctx in wait.dep_ctxs:
+        for ctx in wait.edges():
             if ctx.status != _ACTIVE:
                 continue
             dep_worker = ctx.worker
             if dep_worker is not None:
                 result.append(dep_worker)
-        # dep_ctxs is a frozenset whose iteration order depends on object
-        # hashes; the DFS below picks *which* cycle is reported (and hence
-        # the victim), so the walk must be deterministic
+        # edges come from (frozen)sets whose iteration order depends on
+        # object hashes; the DFS below picks *which* cycle is reported (and
+        # hence the victim), so the walk must be deterministic
         if len(result) > 1:
             result.sort(key=_WORKER_ID)
         return result
@@ -509,17 +531,23 @@ class Scheduler:
         the cycle's members (path from ``start`` back to ``start``).
 
         A cycle through ``start`` needs some other parked worker waiting on
-        ``start``'s in-flight context.  Every parked worker is subscribed
-        on each of its wait's ``dep_ctxs``, so the subscription index
-        answers "who waits on this context" exactly: if nobody but
-        ``start`` itself is subscribed on ``start.current_ctx``, no
-        incoming edge exists and the DFS is skipped."""
+        ``start``'s in-flight context.  A commit / progress waiter is
+        subscribed on each of its ``dep_ctxs``, so the subscription index
+        answers "who dependency-waits on this context" exactly; lock edges
+        are read live, and a lock waiter's subscriptions (the holders it
+        saw at park time) miss holders granted since.  So the DFS is skipped
+        only when no *other* lock waiter is parked and nobody but ``start``
+        itself is subscribed on ``start.current_ctx``."""
         ctx = start.current_ctx
         if ctx is None:
             return None
-        subs = self._subs.get(ctx)
-        if not subs or (len(subs) == 1 and start in subs):
-            return None
+        other_lock_waiters = self._lock_waiters
+        if self._parked[start].holders is not None:
+            other_lock_waiters -= 1
+        if not other_lock_waiters:
+            subs = self._subs.get(ctx)
+            if not subs or (len(subs) == 1 and start in subs):
+                return None
         path: List[Worker] = []
         if self._search_back_to(start, start, set(), path):
             path.reverse()

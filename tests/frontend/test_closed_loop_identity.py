@@ -41,6 +41,17 @@ def test_closed_loop_summaries_bit_identical_to_pinned():
             f"pre-frontend baseline")
 
 
+def test_every_pinned_protocol_commits():
+    """A pinned summary with no commits pins a deadlock, not a baseline
+    (2PL's entry once did: unordered counter keys, lock edges frozen at
+    park time)."""
+    with open(PINNED) as fh:
+        pinned = json.load(fh)
+    for cc_name, summary in pinned.items():
+        assert sum(summary["commits"].values()) > 0, cc_name
+        assert summary["throughput_tps"] > 0, cc_name
+
+
 def test_closed_loop_runs_have_no_frontend_state():
     result = run_protocol(lambda: CounterWorkload(n_keys=16),
                           make_cc("silo"), SimConfig(**CONFIG))

@@ -13,6 +13,7 @@ immediately visible — the workhorse oracle for concurrency tests.
 
 from __future__ import annotations
 
+import pathlib
 import random
 from operator import attrgetter
 from typing import List, Optional
@@ -25,6 +26,9 @@ from repro.core.spec import AccessKinds, AccessSpec, TxnTypeSpec, WorkloadSpec
 from repro.workloads.base import MixEntry, Workload
 
 TABLE = "COUNTERS"
+
+#: the benches' trained-policy cache (committed for the policies below)
+ARTIFACTS = pathlib.Path(__file__).parents[1] / "benchmarks" / "_artifacts"
 
 
 def _increment(old: Optional[dict]) -> dict:
@@ -138,6 +142,53 @@ def run_counter_experiment(cc, config, n_keys: int = 8, n_accesses: int = 3,
     result = run_protocol(factory, cc, config, recorder=recorder,
                           check_invariants=False)
     return holder["workload"], result
+
+
+def tpce_t3_policy():
+    """The cached learned policy and backoff table for TPC-E theta 3."""
+    from repro.core.backoff import BackoffPolicy
+    from repro.core.policy import CCPolicy
+    from repro.workloads.tpce import tpce_spec
+    policy = CCPolicy.load(tpce_spec(),
+                           str(ARTIFACTS / "policy_tpce_t3.0_quick.json"))
+    backoff = BackoffPolicy.from_json(
+        (ARTIFACTS / "backoff_tpce_t3.0_quick.json").read_text())
+    return policy, backoff
+
+
+def assert_live(scheduler) -> None:
+    """The liveness oracle at a run's horizon, read over the scheduler's
+    own live wait-for edges: no parked abort-on-break worker lies on a
+    cycle (a park breaks every cycle it closes), and no wait reached the
+    ``wait_timeout`` safety valve (with a complete graph only a bug can)."""
+    on_cycle = sorted(worker.worker_id
+                      for worker, wait in scheduler._parked.items()
+                      if wait.abort_on_break
+                      and scheduler._find_cycle(worker) is not None)
+    assert on_cycle == [], f"workers parked on a wait-for cycle: {on_cycle}"
+    assert scheduler.timeout_breaks == 0
+
+
+def run_live(workload, cc, config):
+    """Run ``workload`` closed loop under ``cc``, check :func:`assert_live`
+    at the horizon (before teardown unparks everyone) and return the
+    run's stats."""
+    from repro.rng import spawn_rng
+    from repro.sim.scheduler import Scheduler
+    from repro.sim.stats import RunStats
+    from repro.sim.worker import Worker
+    db = workload.build_database()
+    cc.setup(db, workload.spec, config)
+    stats = RunStats(workload.type_names(), warmup_end=config.warmup)
+    scheduler = Scheduler(config)
+    for worker_id in range(config.n_workers):
+        scheduler.add_worker(Worker(worker_id, scheduler, cc, workload, stats,
+                                    config, spawn_rng(config.seed, worker_id)))
+    scheduler.run(config.duration)
+    assert_live(scheduler)
+    scheduler.close()
+    stats.start_time, stats.end_time = 0.0, config.duration
+    return stats
 
 
 def view_snapshots_at_node_crash(monkeypatch, manager_cls) -> list:

@@ -31,6 +31,11 @@ The ``BACKOFF_CELLS`` pin what no other cell passes: a learned
 table under the policy's ``cap``; open loop retries with the frontend's
 exponential backoff under the policy's ``cap`` and ``jitter`` overrides,
 including a ``cap`` below ``backoff_initial``, which is clamped up to it.
+
+The ``TPCE_CELLS`` pin TPC-E at Zipf theta 3 under ic3, 2pl and polyjuice
+with the learned backoff: many workers reaching a few hot rows in
+different orders, so one park can close several wait-for cycles and lock
+holders change while waiters are parked.
 """
 
 from __future__ import annotations
@@ -52,8 +57,10 @@ from repro.faults.plan import FaultPlan, ScriptedFault
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import TimelineSampler
 from repro.obs.tracing import MemorySink
+from repro.workloads.tpce import make_tpce_factory
 
-from tests.helpers import CounterWorkload, FRONTEND_LEDGER, counter_spec
+from tests.helpers import (CounterWorkload, FRONTEND_LEDGER, counter_spec,
+                           tpce_t3_policy)
 
 PROTOCOLS = ["silo", "2pl", "ic3", "polyjuice"]
 MODES = ["closed", "open_loop", "durable"]
@@ -160,12 +167,24 @@ BACKOFF_CELLS = {
 }
 
 
+#: TPC-E at Zipf theta 3 — hot-row, multi-key contention, which no counter
+#: cell has — under the three protocols that deadlocked there until a park
+#: broke every cycle it closed and lock waits read their holders live.
+#: Recorded after that change: before it these cells pinned deadlocks.
+#: Polyjuice runs the cached learned policy and backoff table.
+TPCE_CELLS = ["ic3-tpce_t3", "2pl-tpce_t3",
+              "polyjuice-tpce_t3-learned_backoff"]
+TPCE_CONFIG = SimConfig(n_workers=16, duration=8_000.0, warmup=1_000.0,
+                        seed=42)
+
+
 def cell_names():
     names = [f"{cc}-{mode}" for cc in PROTOCOLS for mode in MODES]
     names.append("polyjuice-faults")
     names.extend(CRASH_CELLS)
     names.extend(ADMISSION_CELLS)
     names.extend(BACKOFF_CELLS)
+    names.extend(TPCE_CELLS)
     return names
 
 
@@ -250,10 +269,26 @@ def run_admission_cell(name: str):
     return digest, result
 
 
+def run_tpce_cell(name: str):
+    """Run one ``TPCE_CELLS`` entry; returns (digest, result)."""
+    policy, backoff = tpce_t3_policy()  # the baselines ignore them
+    sink, metrics = MemorySink(), MetricsRegistry()
+    result = run_named(
+        make_tpce_factory(theta=3.0, seed=TPCE_CONFIG.seed),
+        name.split("-", 1)[0], TPCE_CONFIG, policy=policy,
+        backoff_policy=backoff, trace_sink=sink, metrics=metrics)
+    digest = {"summary": result.stats.summary(),
+              "trace_sha": _trace_sha(sink),
+              "metrics_sha": _metrics_sha(metrics)}
+    return digest, result
+
+
 def run_cell(name: str, obs: bool = True):
     """Run one matrix cell; returns (digest dict, ExperimentResult)."""
     if name in ADMISSION_CELLS:
         return run_admission_cell(name)
+    if name in TPCE_CELLS:
+        return run_tpce_cell(name)
     n_keys, n_accesses, fault_plan, backoff = N_KEYS, N_ACCESSES, None, None
     if name in BACKOFF_CELLS:
         mode, backoff = BACKOFF_CELLS[name]

@@ -13,7 +13,9 @@ import pytest
 from repro.config import SimConfig
 from repro.errors import AbortReason, SchedulerError, TransactionAborted
 from repro.obs.profile import TimeAccountant, check_accounting
+from repro.cc.two_pl import TwoPL
 from repro.sim.events import Cost, WaitFor, WaitKind
+from repro.storage.locks import LockMode, LockTable
 
 from tests.helpers import CounterWorkload
 from tests.sim.test_scheduler import build
@@ -156,6 +158,123 @@ class TestCycleVictim:
         assert scheduler.cycle_breaks >= 1
         assert aborted[0] == 1
         assert 0 not in aborted
+
+
+    def test_park_closing_two_cycles_breaks_both(self):
+        """The oldest worker parks last on commit deps {B, C} while B and C
+        both wait on it: one park closes two cycles.  Aborting only the
+        first victim left A <-> C standing until the wait timeout; the
+        search must run again from the parker until it lies on no cycle."""
+        ctxs = {}
+        aborted = []
+
+        def make(worker_id, others, park_delay):
+            def script(ctx, sched, log):
+                ctxs[worker_id] = ctx
+                try:
+                    yield Cost(park_delay)
+                    deps = [ctxs[other] for other in others]
+                    yield WaitFor(
+                        lambda: all(dep.is_terminal() for dep in deps),
+                        WaitKind.COMMIT_DEPS, deps)
+                    log.append(("done", worker_id))
+                except TransactionAborted as exc:
+                    aborted.append((worker_id, exc.reason))
+                    raise
+            return script
+
+        # B (1) and C (2) park on A at t=1 and t=2; A (0, the oldest) parks
+        # on both at t=3
+        scheduler, cc, stats = build(
+            [make(0, [1, 2], 3.0), make(1, [0], 1.0), make(2, [0], 2.0)],
+            n_txns=[1, 1, 1])
+        scheduler.run(5_000.0)
+        assert aborted == [(1, AbortReason.WAIT_CYCLE),
+                           (2, AbortReason.WAIT_CYCLE)]
+        assert scheduler.cycle_breaks == 2
+        assert ("done", 0) in cc.log
+        assert stats.total_commits == 3
+        assert scheduler.timeout_breaks == 0
+
+
+class TestLiveLockEdges:
+    """A lock wait's wait-for edges are the lock's holders when the graph
+    is searched, not when the waiter parked (2PL's lock table, driven
+    through ``TwoPL._acquire``)."""
+
+    @staticmethod
+    def _two_pl():
+        two_pl = TwoPL()
+        two_pl.locks = LockTable(assume_ordered=True)
+        return two_pl
+
+    def _script(self, two_pl, ctxs, steps, worker_id, aborted):
+        """One transaction: ``steps`` is a list of ticks to sleep or
+        (key, mode) locks to acquire; every lock is released at the end."""
+        def script(ctx, sched, log):
+            ctxs[worker_id] = ctx
+            try:
+                for step in steps:
+                    if isinstance(step, tuple):
+                        key, mode = step
+                        yield from two_pl._acquire(ctx, "T", (key,), mode)
+                    else:
+                        yield Cost(step)
+                log.append(("done", worker_id, sched.now))
+            except TransactionAborted as exc:
+                aborted.append((worker_id, exc.reason, sched.now))
+                raise
+            finally:
+                two_pl._release(ctx)
+        return script
+
+    def test_holder_granted_after_the_park_closes_a_cycle(self):
+        """W0 holds X on b and parks for X on a, held S by W1.  W2 is then
+        granted S on a beside W1, and parks for b: W2 -> W0 -> W2 is a
+        cycle only over W0's *live* holders; the frozen set was {W1}."""
+        two_pl, ctxs, aborted = self._two_pl(), {}, []
+        a, b = ("a", LockMode.SHARED), ("b", LockMode.SHARED)
+        x_a, x_b = ("a", LockMode.EXCLUSIVE), ("b", LockMode.EXCLUSIVE)
+        scripts = [self._script(two_pl, ctxs, steps, worker_id, aborted)
+                   for worker_id, steps in enumerate([
+                       [x_b, 2.0, x_a],
+                       [a, 10.0],
+                       [3.0, a, 1.0, b]])]
+        scheduler, cc, stats = build(scripts, n_txns=[1, 1, 1])
+        scheduler.run(4.0)
+        # the cycle is broken at W2's park: W2 is the youngest
+        assert scheduler.cycle_breaks == 1
+        assert aborted == [(2, AbortReason.WAIT_CYCLE, 4.0)]
+        scheduler.run(5_000.0)
+        assert stats.total_commits == 3
+        assert scheduler.timeout_breaks == 0
+
+    def test_upgrade_wait_edges_exclude_the_requester(self):
+        """W1 holds S on a beside W0 and asks for X: its edges are W0 only.
+        With W2 waiting on W1's commit, a self-edge would make the search
+        from W1 report the one-worker "cycle" [W1] and abort it."""
+        two_pl, ctxs, aborted = self._two_pl(), {}, []
+        a, x_a = ("a", LockMode.SHARED), ("a", LockMode.EXCLUSIVE)
+        scripts = [self._script(two_pl, ctxs, [a, 10.0], 0, aborted),
+                   self._script(two_pl, ctxs, [a, 2.0, x_a], 1, aborted)]
+
+        def waits_on_w1(ctx, sched, log):
+            yield Cost(1.0)
+            dep = ctxs[1]
+            yield WaitFor(dep.is_terminal, WaitKind.COMMIT_DEPS, [dep])
+
+        scheduler, cc, stats = build(scripts + [waits_on_w1],
+                                     n_txns=[1, 1, 1])
+        scheduler.run(3.0)
+        w1 = scheduler._workers[1]
+        wait = scheduler._parked[w1]
+        assert ctxs[1] in wait.dep_ctxs  # park-time holders, for the trace
+        assert set(wait.edges()) == {ctxs[0]}
+        assert scheduler._successors(w1) == [scheduler._workers[0]]
+        assert scheduler.cycle_breaks == 0
+        scheduler.run(5_000.0)
+        assert aborted == []
+        assert stats.total_commits == 3
 
 
 class TestSegmentedAccounting:

@@ -4,9 +4,12 @@ The golden hashes pin the CLI trajectory of the ``train_ea`` harness shape
 (micro theta 0.8, EA, checkpointed) at ``--jobs 1`` and ``--jobs 2``; they
 were recorded before the evaluator refactor that made
 :class:`~repro.training.parallel.ParallelEvaluationEngine` the only
-evaluator the trainers accept, and must not move.  The library test builds
-the same trainer by hand and must reproduce the CLI's history and best
-policy exactly.
+evaluator the trainers accept, and must not move.  One re-record since:
+the checkpoint hash moved when a park began breaking every wait-for cycle
+it closes — evaluation #1, the 2PL* warm-start seed, stopped deadlocking
+(82 000 -> 455 000 TPS); the policy and backoff hashes stayed.  The
+library test builds the same trainer by hand and must reproduce the CLI's
+history and best policy exactly.
 """
 
 import hashlib
@@ -32,7 +35,7 @@ GOLDEN = {
     "backoff.json":
         "14d3017319e383673287702d2f7f77da56769d55d44880c8fd568c415a8c5fa9",
     "checkpoint.json":
-        "f101c74335a1222140c56323ee375b3bf9636e58b502a0aa70419b17f02b235a",
+        "cca8327ad55a5110ef2b8774308e72a4d56ed87f4a4bdb8e402a48a24fa5b3ad",
 }
 
 
