@@ -85,7 +85,7 @@ class TwoPL(ConcurrencyControl):
         if self.locks is None:
             return
         worker = ctx.worker
-        notify = worker.scheduler.notify_lock if worker is not None else None
+        notify = worker.scheduler.notify if worker is not None else None
         self.locks.release_all(ctx, on_release=notify)
 
     # ------------------------------------------------------------------ #

@@ -615,14 +615,11 @@ class ClusterDurability(DurabilityManager):
             ctx.doomed = True
             doomed += 1
             # a sleeping worker aborts at its natural wake-up, so the
-            # charged cost span stays consistent with time
-            scheduler._pending_exc[worker] = TransactionAborted(
+            # charged cost span stays consistent with time; a parked one
+            # now, as its wait's wake key may never fire again
+            scheduler.interrupt(worker, TransactionAborted(
                 AbortReason.FAULT, f"shard {shard} crashed",
-                site=f"shard{shard}")
-            if scheduler.is_parked(worker):
-                # interrupt now: the wait's wake key may never fire again
-                scheduler.cancel_wait(worker, outcome="fault")
-                scheduler._schedule_worker(worker, scheduler.now)
+                site=f"shard{shard}"), outcome="fault")
         return doomed
 
     def _rollback_voided(self, lost: Set[int],
@@ -693,7 +690,7 @@ class ClusterDurability(DurabilityManager):
         self.runtime.mark_shard_up(shard)
         new_workers = self._spawn_workers(self._workers_of(shard),
                                           restart_salt)
-        scheduler.replace_worker_subset(new_workers, restart)
+        scheduler.replace_workers(new_workers, restart)
         scheduler.last_commit_time = max(scheduler.last_commit_time, restart)
         if scheduler.trace.enabled:
             scheduler.trace.emit(TraceEvent(

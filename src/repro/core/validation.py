@@ -142,7 +142,7 @@ def scrub(ctx: TxnContext) -> None:
             record.unlock(ctx)
             if scheduler is not None:
                 # lock-wait conditions read is_locked_by_other(record)
-                scheduler.notify_lock(record)
+                scheduler.notify(record)
     ctx.touched_records.clear()
 
 

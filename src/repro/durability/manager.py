@@ -565,7 +565,7 @@ class DurabilityManager:
         self.lost_unflushed_total += lost_unflushed
         # -- kill every worker (aborts in-flight work, refunds pre-charged
         #    sleep spans so the time-accounting identity survives) ------- #
-        lost_inflight = scheduler.crash_all_workers()
+        lost_inflight = scheduler.crash_workers(scheduler._workers)
         self.lost_inflight_total += lost_inflight
         if scheduler.faults is not None:
             scheduler.faults.on_node_crash()

@@ -18,8 +18,9 @@ Injection sites and safety:
   exercising the §4.3 doom/cascade machinery.
 * **scripted events**: scheduler callbacks at exact simulated times.  A
   parked worker is interrupted immediately (its wait is cancelled and the
-  abort is thrown at the ``WaitFor`` yield); a sleeping worker is
-  interrupted at its next wake-up.
+  abort is thrown at the ``WaitFor`` yield); a sleeping worker, or an idle
+  one parked on an empty admission queue, is interrupted at its next
+  wake-up.
 
 Every fired fault is emitted as a typed ``EventKind.FAULT`` trace event and
 counted in :attr:`FaultInjector.fired`, which the bench runner copies into
@@ -285,13 +286,13 @@ class FaultInjector:
                          downtime=event.downtime)
         else:
             self._record("abort", event.worker, ctx, "scripted")
-        if scheduler.is_parked(worker):
-            scheduler.cancel_wait(worker, outcome="fault")
-            scheduler._advance(worker, TransactionAborted(AbortReason.FAULT,
-                                                          detail))
-        else:
+        if not (active and scheduler.abort_parked(
+                worker, TransactionAborted(AbortReason.FAULT, detail),
+                outcome="fault")):
             # sleeping on a cost: interrupt at its next wake-up so the
-            # charged cost span stays consistent with simulated time
+            # charged cost span stays consistent with simulated time.  An
+            # idle worker (parked on an empty admission queue) has no
+            # attempt to abort: a crash keeps it down when next woken
             self._pending_abort[event.worker] = detail
 
     # ------------------------------------------------------------------ #

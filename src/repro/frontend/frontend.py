@@ -223,7 +223,7 @@ class Frontend:
         if admitted:
             # the run loop executes callbacks without a condition re-check,
             # so wake the idle workers parked on this shard's view
-            scheduler.notify_lock(self._views[shard])
+            scheduler.notify(self._views[shard])
             scheduler.wake_parked()
         self._schedule_next_arrival()
 

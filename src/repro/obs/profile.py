@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..errors import ReproError
+from ..sim.events import CostKind
 
 #: category keys of a breakdown row, in display order (waits are inserted
 #: between ``backoff`` and ``idle`` as ``wait:<kind>`` columns)
@@ -55,11 +56,13 @@ class TimeAccountant:
     # ------------------------------------------------------------------ #
     # charging (called by the scheduler / worker)
 
-    def on_exec(self, worker_id: int, ticks: float) -> None:
-        self._attempt_exec[worker_id] += ticks
-
-    def on_backoff(self, worker_id: int, ticks: float) -> None:
-        self._backoff[worker_id] += ticks
+    def on_cost(self, worker_id: int, kind: str, ticks: float) -> None:
+        """Charge a :class:`~repro.sim.events.Cost` span of ``kind`` (a
+        ``CostKind``; negative ``ticks`` refund): backoff pauses to
+        ``backoff``, everything else to the in-flight attempt."""
+        charged = (self._backoff if kind == CostKind.BACKOFF
+                   else self._attempt_exec)
+        charged[worker_id] += ticks
 
     def on_wait(self, worker_id: int, kind: str, ticks: float) -> None:
         waits = self._wait[worker_id]

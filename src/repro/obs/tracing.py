@@ -69,7 +69,9 @@ class EventKind:
     #: the fault injector fired (attrs: fault, origin, kind-specific detail)
     FAULT = "fault"
     #: the progress watchdog saw no commit for a full window
-    #: (attrs: window, action, parked, wait_edges)
+    #: (attrs: window, action, parked, wait_edges, on_cycle — the sorted
+    #: ids of abort-on-break parked workers on a live wait-for cycle, which
+    #: a park that breaks every cycle it closes keeps empty)
     LIVELOCK = "livelock"
     #: an epoch's group-commit flush completed; its commits are now durable
     #: and acked (attrs: epoch, records, bytes, stalled)

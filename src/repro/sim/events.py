@@ -75,8 +75,8 @@ class WaitFor:
         condition: zero-argument predicate.  The scheduler subscribes the
             parked worker on every ``dep_ctxs`` member (and every
             ``wake_keys`` entry), and re-evaluates the predicate when one of
-            those is notified via ``Scheduler.notify`` /
-            ``Scheduler.notify_lock``.  A wait that declares neither
+            those is notified via ``Scheduler.notify``.  A wait that
+            declares neither
             ``dep_ctxs`` nor ``wake_keys`` cannot be woken; the scheduler
             refuses to park on it.
         kind: a :class:`WaitKind` value.

@@ -3,20 +3,29 @@
 The scheduler owns simulated time.  It keeps a heap of (time, event) pairs;
 events are either worker wake-ups or arbitrary callbacks (used for policy
 switches and wait timeouts).  Workers blocked on a :class:`WaitFor` are held
-in a parked set.
+in a parked map, one :class:`_Park` record each (the wait, when it parked,
+the wake keys it is subscribed under); the map's insertion order is the
+park order.
 
 Wake-ups are *event-driven* (subscription-based): when a worker parks, it
 is registered on a wake index keyed by every transaction in the wait's
 ``dep_ctxs`` (plus its own in-flight context, and any extra ``wake_keys``
 such as the record whose commit lock it awaits).  The code that mutates
 shared state — progress advances, version exposure, piece validation,
-commit/abort termination, lock releases — calls :meth:`Scheduler.notify` /
-:meth:`Scheduler.notify_lock`, which flags the subscribed workers; at the
-end of the current worker advance (the only point at which shared state
-can have changed) only the flagged workers re-check their condition, in
-park order — the deterministic tie-break.  A wait that declares neither
-dependencies nor wake keys could only ever end by timeout, so parking on
-one is a :class:`~repro.errors.SchedulerError`.
+commit/abort termination, lock releases — calls :meth:`Scheduler.notify`,
+which flags the subscribed workers; at the end of the current worker
+advance (the only point at which shared state can have changed) only the
+flagged workers re-check their condition, in park order — the
+deterministic tie-break.  A wait that declares neither dependencies nor
+wake keys could only ever end by timeout, so parking on one is a
+:class:`~repro.errors.SchedulerError`.
+
+Another worker is aborted through one of two verbs.
+:meth:`Scheduler.interrupt` is deferred: the exception is delivered at the
+worker's next advance — at once (scheduled at ``now``) if it is parked, at
+its natural wake-up if it sleeps — and only to an attempt still active
+then.  :meth:`Scheduler.abort_parked` is immediate, for callbacks: a
+parked worker is unparked and advanced with the exception right away.
 
 Wait-for cycles (mutual dependency deadlocks) are detected when a worker
 parks — the only moment a cycle can close, since every other new edge
@@ -68,6 +77,20 @@ _ACTIVE = TxnStatus.ACTIVE
 _WORKER_ID = attrgetter("worker_id")
 
 
+class _Park:
+    """One parked worker: its wait, when it parked (advanced to ``now``
+    when :meth:`Scheduler.finish_accounting` charges the tail) and the
+    wake-index keys it is subscribed under."""
+
+    __slots__ = ("wait", "start", "keys")
+
+    def __init__(self, wait: WaitFor, start: float,
+                 keys: List[object]) -> None:
+        self.wait = wait
+        self.start = start
+        self.keys = keys
+
+
 class Scheduler:
     """Event loop for one simulated run."""
 
@@ -101,11 +124,6 @@ class Scheduler:
         #: bench runner when ``config.cluster`` is set; ``None`` means the
         #: run is single-node and no cluster hook exists anywhere
         self.cluster = None
-        #: workers whose invocation deadline fired while they were running
-        #: or sleeping; the abort is delivered at their next advance (only
-        #: if the attempt is still active — a committed transaction merely
-        #: becomes a late commit / SLO miss)
-        self._pending_deadline: Set[Worker] = set()
         self._heap: List[Tuple[float, int, int, object]] = []
         #: events scheduled *at the current instant* bypass the heap: they
         #: are appended here and drained FIFO.  The deque is sorted by
@@ -116,29 +134,24 @@ class Scheduler:
         self._ready: deque = deque()
         self._seq = itertools.count()
         self._workers: List[Worker] = []
-        self._parked: Dict[Worker, WaitFor] = {}
+        #: parked worker -> its park record; insertion order is park order
+        #: (a worker is popped on unpark), the wake-up tie-break
+        self._parked: Dict[Worker, _Park] = {}
         #: parked workers whose wait has live lock edges (WaitFor.holders):
         #: the subscription index does not cover those edges
         self._lock_waiters = 0
-        self._park_start: Dict[Worker, float] = {}
-        #: monotonically increasing park ticket per parked worker; wake-up
-        #: candidates are evaluated in park order (the deterministic
-        #: tie-break)
-        self._park_order: Dict[Worker, int] = {}
-        self._park_counter = itertools.count()
         #: wake index: subscription key (TxnContext / Record / lock key) ->
         #: subscribed parked workers (dict used as an ordered set)
         self._subs: Dict[object, Dict[Worker, None]] = {}
-        #: parked worker -> the keys it is subscribed under (for cleanup)
-        self._sub_keys: Dict[Worker, List[object]] = {}
         #: subscribed workers flagged by notify() since the last flush
         self._dirty: Set[Worker] = set()
-        #: exception to throw into a worker at its next advance (used to
-        #: abort a cycle victim that is not the parking worker)
+        #: exception to throw into a worker at its next advance, if its
+        #: attempt is still active then (see :meth:`interrupt`)
         self._pending_exc: Dict[Worker, BaseException] = {}
-        #: horizon-clipped Cost remainder per sleeping worker: charged to
-        #: the accountant when the deferred wake fires in a later run()
-        self._deferred_cost: Dict[Worker, Tuple[float, str]] = {}
+        #: horizon-clipped (cost kind, Cost remainder) per sleeping worker:
+        #: charged to the accountant when the deferred wake fires in a
+        #: later run()
+        self._deferred_cost: Dict[Worker, Tuple[str, float]] = {}
         #: (charged span end, cost kind) of each sleeping worker's current
         #: cost; tracked only in durability mode so a node crash can refund
         #: the pre-charged span beyond the crash instant
@@ -260,20 +273,14 @@ class Scheduler:
             # — charge it (satellite fix: segmented-run accounting identity)
             deferred = self._deferred_cost.pop(worker, None)
             if deferred is not None and self.accountant is not None:
-                ticks, kind = deferred
-                if kind == CostKind.BACKOFF:
-                    self.accountant.on_backoff(worker.worker_id, ticks)
-                else:
-                    self.accountant.on_exec(worker.worker_id, ticks)
+                self.accountant.on_cost(worker.worker_id, *deferred)
         if exc is None and self._pending_exc:
             exc = self._pending_exc.pop(worker, None)
-        if exc is None and self._pending_deadline \
-                and worker in self._pending_deadline:
-            self._pending_deadline.discard(worker)
             ctx = worker.current_ctx
-            if ctx is not None and ctx.is_active():
-                exc = TransactionAborted(AbortReason.DEADLINE,
-                                         "invocation deadline passed")
+            if ctx is None or not ctx.is_active():
+                # the attempt ended meanwhile: a committed one is merely a
+                # late commit (SLO miss), an aborted one needs no abort
+                exc = None
         if exc is None and self.faults is not None \
                 and self.faults.has_pending(worker.worker_id):
             exc, downtime = self.faults.consume_pending(worker)
@@ -307,16 +314,14 @@ class Scheduler:
                     # which case the remainder is never simulated)
                     horizon = max(0.0, self._run_until - self.now)
                     if ticks > horizon:
-                        self._deferred_cost[worker] = (ticks - horizon,
-                                                       directive.kind)
+                        self._deferred_cost[worker] = (directive.kind,
+                                                       ticks - horizon)
                         charge = horizon
                     else:
                         charge = ticks
                     if charge > 0.0:
-                        if directive.kind == CostKind.BACKOFF:
-                            self.accountant.on_backoff(worker.worker_id, charge)
-                        else:
-                            self.accountant.on_exec(worker.worker_id, charge)
+                        self.accountant.on_cost(worker.worker_id,
+                                                directive.kind, charge)
                         if self.durability is not None:
                             self._sleep_charge[worker] = (self.now + charge,
                                                           directive.kind)
@@ -332,7 +337,6 @@ class Scheduler:
             wait = directive
             if wait.condition():
                 continue
-            worker.park_token += 1
             worker.generation += 1  # invalidate any in-flight wake-ups
             self._park(worker, wait)
             self.wait_count_by_kind[wait.kind] = \
@@ -368,17 +372,15 @@ class Scheduler:
                     break
                 # abort the victim at its own wait: unparked, its edges
                 # leave the graph, so this cycle is gone
-                self._unpark(victim, outcome="cycle")
-                self._pending_exc[victim] = \
-                    TransactionAborted(AbortReason.WAIT_CYCLE)
-                self._schedule_worker(victim, self.now)
+                self.interrupt(victim, TransactionAborted(
+                    AbortReason.WAIT_CYCLE), outcome="cycle")
                 cycle = self._find_cycle(worker)
             else:
                 # on no cycle any more: the parker stays parked
-                self._arm_timeout(worker, worker.park_token)
+                self._arm_timeout(worker, worker.generation)
                 break
         if self._dirty:
-            self._notify_parked()
+            self.wake_parked()
 
     def _park(self, worker: Worker, wait: WaitFor) -> None:
         """Register ``worker`` as parked on ``wait`` and subscribe it on the
@@ -388,11 +390,8 @@ class Scheduler:
             raise SchedulerError(
                 f"{wait.kind} wait declares neither dep_ctxs nor wake_keys: "
                 "nothing could wake it before its timeout")
-        self._parked[worker] = wait
         if wait.holders is not None:
             self._lock_waiters += 1
-        self._park_start[worker] = self.now
-        self._park_order[worker] = next(self._park_counter)
         ctx = worker.current_ctx
         keys: List[object] = []
         own = () if ctx is None else (ctx,)
@@ -403,66 +402,52 @@ class Scheduler:
             if worker not in subs:
                 subs[worker] = None
                 keys.append(key)
-        self._sub_keys[worker] = keys
+        self._parked[worker] = _Park(wait, self.now, keys)
 
     # ------------------------------------------------------------------ #
     # wake-up notification
 
-    def notify(self, ctx: object) -> None:
-        """Flag workers subscribed on transaction ``ctx`` for a condition
-        re-check at the end of the current advance.  Called by the code
-        that changes ``ctx``'s observable wait state: progress advances,
-        version exposure / piece validation, commit/abort termination, and
-        dooming (validation failure, fault injection)."""
-        subs = self._subs.get(ctx)
-        if subs:
-            self._dirty.update(subs)
-
-    def notify_lock(self, key: object) -> None:
-        """Flag workers subscribed on a lock wake key (a record whose
-        commit lock was released, or a :meth:`LockTable.wake_key
-        <repro.storage.locks.LockTable.wake_key>`)."""
+    def notify(self, key: object) -> None:
+        """Flag workers subscribed on ``key`` for a condition re-check at
+        the end of the current advance.  Called by the code that changes
+        a transaction's observable wait state (progress advances, version
+        exposure / piece validation, commit/abort termination, dooming) or
+        releases a lock wake key (a record whose commit lock was released,
+        a :meth:`LockTable.wake_key <repro.storage.locks.LockTable.
+        wake_key>`, a frontend view that received work)."""
         subs = self._subs.get(key)
         if subs:
             self._dirty.update(subs)
 
     def wake_parked(self) -> None:
-        """Re-check parked wait conditions at the current instant.  The run
-        loop executes scheduled callbacks without a condition re-check (only
-        worker advances end in one), so a callback that creates work — the
-        frontend's arrival enqueue — must trigger the re-check itself after
-        flagging subscribers via :meth:`notify` / :meth:`notify_lock`."""
-        self._notify_parked()
-
-    def _notify_parked(self) -> None:
         """Wake every parked worker whose condition has become true:
-        re-check only the workers flagged dirty by notify(), in park order
-        (so wake order, and every downstream tie-break, is deterministic)."""
+        re-check only the workers flagged by :meth:`notify`, in park order
+        (so wake order, and every downstream tie-break, is deterministic).
+        Every worker advance ends in this re-check; a callback that creates
+        work — the frontend's arrival enqueue — calls it itself."""
         dirty = self._dirty
         if not dirty:
             return
-        candidates = sorted(dirty, key=self._park_order.__getitem__)
+        ready = [worker for worker, park in self._parked.items()
+                 if worker in dirty and park.wait.condition()]
         dirty.clear()
-        parked = self._parked
-        ready = [w for w in candidates if parked[w].condition()]
         for worker in ready:
             self._unpark(worker)
             self._schedule_worker(worker, self.now)
 
     def _unpark(self, worker: Worker, outcome: str = "satisfied") -> None:
-        wait = self._parked.pop(worker)
+        park = self._parked.pop(worker)
+        wait = park.wait
         if wait.holders is not None:
             self._lock_waiters -= 1
-        start = self._park_start.pop(worker, self.now)
-        del self._park_order[worker]
-        for key in self._sub_keys.pop(worker):
+        for key in park.keys:
             subs = self._subs.get(key)
             if subs is not None:
                 subs.pop(worker, None)
                 if not subs:
                     del self._subs[key]
         self._dirty.discard(worker)
-        waited = self.now - start
+        waited = self.now - park.start
         self.wait_time_by_kind[wait.kind] = \
             self.wait_time_by_kind.get(wait.kind, 0.0) + waited
         if self.accountant is not None:
@@ -484,16 +469,15 @@ class Scheduler:
         call more than once (the park start is advanced to ``now``)."""
         if self.accountant is None and self.timeline is None:
             return
-        for worker, wait in self._parked.items():
-            start = self._park_start.get(worker, self.now)
-            if self.now > start:
+        for worker, park in self._parked.items():
+            waited = self.now - park.start
+            if waited > 0.0:
+                kind = park.wait.kind
                 if self.accountant is not None:
-                    self.accountant.on_wait(worker.worker_id, wait.kind,
-                                            self.now - start)
+                    self.accountant.on_wait(worker.worker_id, kind, waited)
                 if self.timeline is not None:
-                    self.timeline.on_wait(self.now, wait.kind,
-                                          self.now - start)
-                self._park_start[worker] = self.now
+                    self.timeline.on_wait(self.now, kind, waited)
+                park.start = self.now
 
     def close(self) -> None:
         """Tear down all workers in worker-id order, unwinding in-flight
@@ -509,11 +493,11 @@ class Scheduler:
     # deadlock handling
 
     def _successors(self, worker: Worker) -> List[Worker]:
-        wait = self._parked.get(worker)
-        if wait is None:
+        park = self._parked.get(worker)
+        if park is None:
             return []
         result = []
-        for ctx in wait.edges():
+        for ctx in park.wait.edges():
             if ctx.status != _ACTIVE:
                 continue
             dep_worker = ctx.worker
@@ -542,7 +526,7 @@ class Scheduler:
         if ctx is None:
             return None
         other_lock_waiters = self._lock_waiters
-        if self._parked[start].holders is not None:
+        if self._parked[start].wait.holders is not None:
             other_lock_waiters -= 1
         if not other_lock_waiters:
             subs = self._subs.get(ctx)
@@ -594,22 +578,55 @@ class Scheduler:
         if ctx is not None:
             ctx.wait_exempt.update(wait.dep_ctxs)
 
-    def _arm_timeout(self, worker: Worker, token: int) -> None:
+    def _arm_timeout(self, worker: Worker, generation: int) -> None:
+        """Break ``worker``'s wait if it is still parked on it after
+        ``wait_timeout``: the park's ``generation`` identifies the wait
+        (every park and every wake-up bumps it).  The callback must not
+        hold the park record — it would keep the wait's transactions alive
+        for the whole timeout."""
         deadline = self.now + self.config.cost.wait_timeout
 
         def fire() -> None:
-            wait = self._parked.get(worker)
-            if wait is None or worker.park_token != token:
+            park = self._parked.get(worker)
+            if park is None or worker.generation != generation:
                 return  # no longer parked on that wait
-            self._unpark(worker, outcome="timeout")
             self.timeout_breaks += 1
-            if wait.abort_on_break:
-                self._advance(worker, TransactionAborted(AbortReason.WAIT_TIMEOUT))
+            if park.wait.abort_on_break:
+                self.abort_parked(worker, TransactionAborted(
+                    AbortReason.WAIT_TIMEOUT), outcome="timeout")
             else:
-                self._exempt_wait(worker, wait)
+                self._unpark(worker, outcome="timeout")
+                self._exempt_wait(worker, park.wait)
                 self._advance(worker)
 
         self.schedule_callback(deadline, fire)
+
+    # ------------------------------------------------------------------ #
+    # aborting another worker
+
+    def interrupt(self, worker: Worker, exc: BaseException,
+                  outcome: str) -> None:
+        """Abort ``worker``'s attempt at its next advance (deferred): a
+        parked worker is unparked with ``outcome`` and scheduled at
+        ``now``, after the events already queued for this instant; a
+        sleeping one aborts at its natural wake-up, so the charged cost
+        span stays consistent with time.  Dropped if the attempt is no
+        longer active by then."""
+        self._pending_exc[worker] = exc
+        if worker in self._parked:
+            self._unpark(worker, outcome=outcome)
+            self._schedule_worker(worker, self.now)
+
+    def abort_parked(self, worker: Worker, exc: BaseException,
+                     outcome: str) -> bool:
+        """If ``worker`` is parked, unpark it with ``outcome`` and throw
+        ``exc`` at its wait right now (from a callback, before anything
+        else at this instant).  Returns whether it was parked."""
+        if worker not in self._parked:
+            return False
+        self._unpark(worker, outcome=outcome)
+        self._advance(worker, exc)
+        return True
 
     # ------------------------------------------------------------------ #
     # deadline enforcement (repro.frontend)
@@ -619,55 +636,32 @@ class Scheduler:
         """Schedule a deadline abort for ``worker``'s current invocation at
         ``deadline``.  ``token`` is the worker's ``deadline_token`` at arm
         time; the callback is a no-op if the worker has moved on.  A parked
-        worker is interrupted immediately; a sleeping one consumes the
-        pending abort at its next advance.  Either way the abort is only
-        delivered while the attempt is still active — an already-committed
+        worker is aborted at once; a sleeping one at its next advance, and
+        only if the attempt is still active then — an already-committed
         transaction just becomes a late commit (SLO miss)."""
 
         def fire() -> None:
             if worker.finished or worker.deadline_token != token:
                 return  # the invocation already completed
-            self._pending_deadline.add(worker)
-            if worker in self._parked:
-                self._unpark(worker, outcome="deadline")
-                self._advance(worker)
+            exc = TransactionAborted(AbortReason.DEADLINE,
+                                     "invocation deadline passed")
+            if not self.abort_parked(worker, exc, outcome="deadline"):
+                self.interrupt(worker, exc, outcome="deadline")
 
         self.schedule_callback(deadline, fire)
 
     # ------------------------------------------------------------------ #
-    # fault-injection support
-
-    def is_parked(self, worker: Worker) -> bool:
-        return worker in self._parked
-
-    def cancel_wait(self, worker: Worker, outcome: str = "cancelled") -> None:
-        """Forcibly unpark a worker (the fault injector interrupting a
-        parked worker).  The caller drives the worker afterwards."""
-        self._unpark(worker, outcome=outcome)
-
-    # ------------------------------------------------------------------ #
-    # whole-node crash support (repro.durability)
-
-    def crash_all_workers(self) -> int:
-        """Tear down every worker at the current instant (a simulated
-        whole-node crash).  Parked workers are unparked (their wait time is
-        charged), sleeping workers get the pre-charged span beyond ``now``
-        refunded, and each generator is closed in worker-id order so
-        in-flight attempts abort through their normal cleanup paths.
-        Returns the number of in-flight transaction attempts lost."""
-        lost_inflight = self.crash_workers(self._workers,
-                                           outcome="node_crash")
-        self._sleep_charge.clear()
-        self._dirty.clear()
-        self._pending_deadline.clear()
-        return lost_inflight
+    # crash support (repro.durability, repro.cluster)
 
     def crash_workers(self, workers, outcome: str = "node_crash") -> int:
-        """Tear down a subset of workers at the current instant (a partial
-        crash: one shard's pinned workers).  Same refund/teardown contract
-        as :meth:`crash_all_workers`, but per-worker state is discarded
-        per worker — survivors keep their sleep charges, dirty flags and
-        armed deadlines.  Returns the in-flight attempts lost."""
+        """Tear down ``workers`` at the current instant (every worker for a
+        whole-node crash, one shard's pinned workers for a shard crash).
+        Parked workers are unparked (their wait time is charged), sleeping
+        workers get the pre-charged span beyond ``now`` refunded, and each
+        generator is closed in the given order so in-flight attempts abort
+        through their normal cleanup paths.  Survivors keep their sleep
+        charges, dirty flags and pending aborts.  Returns the number of
+        in-flight transaction attempts lost."""
         lost_inflight = 0
         for worker in workers:
             if worker.finished:
@@ -682,21 +676,13 @@ class Scheduler:
                     if refund > 0.0:
                         # the crash cut the sleep short: the span beyond
                         # now was charged but never simulated
-                        if kind == CostKind.BACKOFF:
-                            self.accountant.on_backoff(worker.worker_id,
-                                                       -refund)
-                        else:
-                            self.accountant.on_exec(worker.worker_id,
-                                                    -refund)
+                        self.accountant.on_cost(worker.worker_id, kind,
+                                                -refund)
             self._deferred_cost.pop(worker, None)
             self._pending_exc.pop(worker, None)
             ctx = worker.current_ctx
             had_active = ctx is not None and ctx.is_active()
             worker.close()
-            # discard after close: teardown cascades may notify survivors
-            self._sleep_charge.pop(worker, None)
-            self._dirty.discard(worker)
-            self._pending_deadline.discard(worker)
             if had_active:
                 lost_inflight += 1
                 if self.accountant is not None:
@@ -706,18 +692,11 @@ class Scheduler:
 
     def replace_workers(self, workers: List[Worker],
                         start_time: float) -> None:
-        """Swap in a fresh worker set (post-recovery restart), scheduling
-        each at ``start_time``.  The old workers must already be finished;
-        their stale heap events are skipped via the generation guard."""
-        self._workers = list(workers)
-        for worker in self._workers:
-            self._schedule_worker(worker, start_time)
-
-    def replace_worker_subset(self, workers: List[Worker],
-                              start_time: float) -> None:
-        """Swap fresh workers in *by id* (a crashed shard's workers
-        restarting at rejoin) and schedule each at ``start_time``.  The
-        rest of the worker list — the survivors — is untouched."""
+        """Swap fresh workers in *by id* (every worker after a node's
+        recovery, a crashed shard's workers at rejoin) and schedule each
+        at ``start_time``.  The workers they replace must already be
+        finished (their stale heap events are skipped via the generation
+        guard); the rest of the worker list is untouched."""
         for worker in workers:
             self._workers[worker.worker_id] = worker
             self._schedule_worker(worker, start_time)
@@ -754,9 +733,9 @@ class Scheduler:
                 f"last commit at {self.last_commit_time})", diagnostics)
         victim = self._watchdog_victim()
         if victim is not None:
-            self._unpark(victim, outcome="livelock")
-            self._advance(victim, TransactionAborted(
-                AbortReason.LIVELOCK, "progress watchdog"))
+            self.abort_parked(victim, TransactionAborted(
+                AbortReason.LIVELOCK, "progress watchdog"),
+                outcome="livelock")
         # restart the window so one stall is reported (and acted on) once
         self.last_commit_time = self.now
         self.schedule_callback(self.now + window, self._watchdog_fire)
@@ -777,21 +756,30 @@ class Scheduler:
 
     def _livelock_diagnostics(self, window: float) -> dict:
         parked = []
-        for worker, wait in self._parked.items():
+        for worker, park in self._parked.items():
             ctx = worker.current_ctx
             parked.append({
                 "worker": worker.worker_id,
-                "wait_kind": wait.kind,
+                "wait_kind": park.wait.kind,
                 "txn": ctx.txn_id if ctx is not None else None,
-                "parked_for":
-                    self.now - self._park_start.get(worker, self.now),
+                "parked_for": self.now - park.start,
             })
         wait_edges = [[worker.worker_id, successor.worker_id]
                       for worker in self._parked
                       for successor in self._successors(worker)]
         return {"window": window, "action": self.config.watchdog_action,
                 "last_commit_time": self.last_commit_time,
-                "parked": parked, "wait_edges": wait_edges}
+                "parked": parked, "wait_edges": wait_edges,
+                "on_cycle": self.parked_on_cycle()}
+
+    def parked_on_cycle(self) -> List[int]:
+        """Sorted ids of the abort-on-break parked workers that lie on a
+        live wait-for cycle — the liveness oracle's question.  A park
+        breaks every cycle it closes, so this is empty in a correct run."""
+        return sorted(worker.worker_id
+                      for worker, park in self._parked.items()
+                      if park.wait.abort_on_break
+                      and self._find_cycle(worker) is not None)
 
     # ------------------------------------------------------------------ #
 

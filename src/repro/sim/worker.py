@@ -45,7 +45,7 @@ class Worker:
     """One simulated worker thread."""
 
     __slots__ = ("worker_id", "scheduler", "cc", "workload", "stats", "config",
-                 "rng", "generation", "park_token", "finished", "current_ctx",
+                 "rng", "generation", "finished", "current_ctx",
                  "trace", "faults", "deadline", "deadline_token", "_gen")
 
     def __init__(self, worker_id: int, scheduler: "Scheduler", cc, workload,
@@ -65,8 +65,6 @@ class Worker:
         self.faults = scheduler.faults
         #: bumped on every (re)schedule and park; stale heap events are skipped
         self.generation = 0
-        #: bumped on every park; guards wait-timeout callbacks
-        self.park_token = 0
         self.finished = False
         #: context of the in-flight attempt (for wait-graph edges)
         self.current_ctx: Optional["TxnContext"] = None

@@ -139,7 +139,7 @@ class LockTable:
         """Release every lock held by ``ctx``; returns the count released.
 
         ``on_release`` (if given) is called with :meth:`wake_key` of every
-        released lock — the scheduler's ``notify_lock``, waking waiters
+        released lock — the scheduler's ``notify``, waking waiters
         subscribed on it."""
         released = 0
         dead_keys = []

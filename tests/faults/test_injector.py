@@ -6,7 +6,7 @@ import pytest
 
 from repro.bench.runner import run_protocol
 from repro.cc import SiloOCC, TwoPL
-from repro.config import SimConfig
+from repro.config import FrontendConfig, SimConfig
 from repro.core.policy import CCPolicy
 from repro.errors import FaultPlanError, PolicyError
 from repro.faults import (FAULT_RNG_SALT, FaultInjector, FaultPlan,
@@ -104,6 +104,24 @@ class TestScriptedFaults:
         assert crashes[0].worker == 0
         assert crashes[0].attrs["origin"] == "scripted"
         assert not result.invariant_violations
+
+    def test_scripted_abort_and_crash_of_idle_open_loop_workers(self):
+        """Open-loop workers parked on an empty admission queue have no
+        attempt to abort: the events must not be thrown into their
+        arrival wait, which ended the run with the worker's exception."""
+        config = SimConfig(n_workers=4, duration=3000.0, seed=3,
+                           frontend=FrontendConfig(
+                               arrival_rate=2000.0, queue_cap=8,
+                               deadline=2000.0, retry_budget=3))
+        plan = FaultPlan(events=[
+            ScriptedFault(time, kind, worker, downtime=100.0)
+            for time, kind in ((500.0, "abort"), (1500.0, "crash"))
+            for worker in range(4)])
+        workload, result = run_counters(SiloOCC, config, plan)
+        assert result.fault_counts == {"abort": 4, "crash": 4}
+        assert not result.invariant_violations
+        assert workload.check_against_commits(
+            result.stats.total_commits) == []
 
     def test_scripted_slow_reduces_commits(self):
         config = SimConfig(n_workers=2, duration=4000.0, seed=5)

@@ -67,6 +67,8 @@ class TestAbortOldest:
         assert "last_commit_time" in attrs
         assert isinstance(attrs["parked"], list)
         assert isinstance(attrs["wait_edges"], list)
+        # a park breaks every cycle it closes: no parked worker is on one
+        assert attrs["on_cycle"] == []
         for entry in attrs["parked"]:
             assert {"worker", "wait_kind", "txn", "parked_for"} \
                 <= set(entry)

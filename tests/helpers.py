@@ -161,10 +161,7 @@ def assert_live(scheduler) -> None:
     own live wait-for edges: no parked abort-on-break worker lies on a
     cycle (a park breaks every cycle it closes), and no wait reached the
     ``wait_timeout`` safety valve (with a complete graph only a bug can)."""
-    on_cycle = sorted(worker.worker_id
-                      for worker, wait in scheduler._parked.items()
-                      if wait.abort_on_break
-                      and scheduler._find_cycle(worker) is not None)
+    on_cycle = scheduler.parked_on_cycle()
     assert on_cycle == [], f"workers parked on a wait-for cycle: {on_cycle}"
     assert scheduler.timeout_breaks == 0
 

@@ -36,6 +36,13 @@ The ``TPCE_CELLS`` pin TPC-E at Zipf theta 3 under ic3, 2pl and polyjuice
 with the learned backoff: many workers reaching a few hot rows in
 different orders, so one park can close several wait-for cycles and lock
 holders change while waiters are parked.
+
+The ``PARKED_FAULT_CELLS`` pin a scripted ``abort`` and ``crash`` that
+find their target parked on a lock wait: the injector aborts it at once,
+at its ``WaitFor`` yield, before any other event of that instant.  Each
+event's time lies inside one of the target's waits, so the digest lists
+the ``fault`` WAIT_END events, which must equal the scripted (time,
+worker) pairs.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from repro.core.protocol import TxnInvocation
 from repro.faults.plan import FaultPlan, ScriptedFault
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import TimelineSampler
-from repro.obs.tracing import MemorySink
+from repro.obs.tracing import EventKind, MemorySink
 from repro.workloads.tpce import make_tpce_factory
 
 from tests.helpers import (CounterWorkload, FRONTEND_LEDGER, counter_spec,
@@ -178,6 +185,19 @@ TPCE_CONFIG = SimConfig(n_workers=16, duration=8_000.0, warmup=1_000.0,
                         seed=42)
 
 
+#: name -> (protocol, scripted faults): 2PL over the counter workload.  Each
+#: time was read from the trace of the run with the earlier events applied:
+#: the target is parked on a lock wait and other workers wake at the same
+#: instant, so an abort delivered at once (before them) and one deferred to
+#: a wake-up scheduled at ``now`` (after them) give different traces.
+PARKED_FAULT_CELLS = {
+    "2pl-parked_faults": ("2pl", [
+        ScriptedFault(time=2_038.5, kind="abort", worker=6),
+        ScriptedFault(time=6_012.25, kind="crash", worker=1,
+                      downtime=150.0)]),
+}
+
+
 def cell_names():
     names = [f"{cc}-{mode}" for cc in PROTOCOLS for mode in MODES]
     names.append("polyjuice-faults")
@@ -185,6 +205,7 @@ def cell_names():
     names.extend(ADMISSION_CELLS)
     names.extend(BACKOFF_CELLS)
     names.extend(TPCE_CELLS)
+    names.extend(PARKED_FAULT_CELLS)
     return names
 
 
@@ -296,6 +317,10 @@ def run_cell(name: str, obs: bool = True):
     elif name in CRASH_CELLS:
         cc_name, config, n_keys, n_accesses, fault_plan = \
             _crash_cell_setup(name)
+    elif name in PARKED_FAULT_CELLS:
+        cc_name, events = PARKED_FAULT_CELLS[name]
+        config = _config("closed")
+        fault_plan = FaultPlan(events=list(events))
     elif name == "polyjuice-faults":
         cc_name, config = "polyjuice", _config("closed")
         fault_plan = FaultPlan(rates={"stall": 0.01, "abort": 0.005,
@@ -316,7 +341,16 @@ def run_cell(name: str, obs: bool = True):
     if name in CRASH_CELLS:
         digest.update(_crash_digest(result.durability,
                                     config.cluster is not None))
+    if name in PARKED_FAULT_CELLS and obs:
+        digest["fault_wait_ends"] = fault_wait_ends(sink)
     return digest, result
+
+
+def fault_wait_ends(sink: MemorySink) -> list:
+    """(time, worker) of every WAIT_END whose outcome is ``fault``."""
+    return [[event.ts, event.worker] for event in sink.events
+            if event.kind == EventKind.WAIT_END
+            and event.attrs["outcome"] == "fault"]
 
 
 def _trace_sha(sink: MemorySink) -> str:

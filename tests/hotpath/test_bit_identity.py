@@ -13,7 +13,8 @@ import os
 
 import pytest
 
-from tests.hotpath.common import canonical, cell_names, run_cell
+from tests.hotpath.common import (PARKED_FAULT_CELLS, canonical, cell_names,
+                                  run_cell)
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "data",
                             "fixtures.json")
@@ -33,6 +34,11 @@ def test_matches_pinned_fixture(name, fixtures):
     digest, result = run_cell(name)
     assert result.invariant_violations == []
     assert canonical(digest) == canonical(fixtures[name])
+    if name in PARKED_FAULT_CELLS:
+        # each scripted event found its target parked and ended that wait
+        events = PARKED_FAULT_CELLS[name][1]
+        assert digest["fault_wait_ends"] == [[event.time, event.worker]
+                                             for event in events]
 
 
 @pytest.mark.parametrize("name", ["ic3-closed", "polyjuice-closed"])

@@ -7,6 +7,7 @@ from repro.config import SimConfig
 from repro.bench.runner import run_named
 from repro.errors import ReproError
 from repro.obs import TimeAccountant, check_accounting, format_profile_table
+from repro.sim.events import CostKind
 from repro.workloads.tpcc import make_tpcc_factory
 
 
@@ -19,13 +20,14 @@ class TestTimeAccountant:
 
     def test_manual_charges_partition(self):
         accountant = TimeAccountant(2, 100.0)
-        accountant.on_exec(0, 30.0)
+        accountant.on_cost(0, CostKind.WORK, 30.0)
         accountant.on_attempt_end(0, committed=False)   # 30 wasted
-        accountant.on_exec(0, 40.0)
+        accountant.on_cost(0, CostKind.WORK, 40.0)
         accountant.on_attempt_end(0, committed=True)    # 40 useful
-        accountant.on_backoff(0, 10.0)
+        accountant.on_cost(0, CostKind.BACKOFF, 12.0)
+        accountant.on_cost(0, CostKind.BACKOFF, -2.0)   # a crash refund
         accountant.on_wait(0, "lock", 5.0)
-        accountant.on_exec(1, 25.0)                     # still in flight
+        accountant.on_cost(1, CostKind.WORK, 25.0)      # still in flight
         rows = accountant.breakdown()
         assert rows[0] == {"useful": 40.0, "wasted": 30.0, "in_flight": 0.0,
                            "backoff": 10.0, "wait:lock": 5.0, "idle": 15.0,
@@ -36,13 +38,13 @@ class TestTimeAccountant:
 
     def test_over_charge_detected(self):
         accountant = TimeAccountant(1, 10.0)
-        accountant.on_exec(0, 50.0)
+        accountant.on_cost(0, CostKind.WORK, 50.0)
         violation = check_accounting(accountant)
         assert violation is not None and "worker 0" in violation
 
     def test_totals_sum_over_workers(self):
         accountant = TimeAccountant(3, 50.0)
-        accountant.on_backoff(1, 20.0)
+        accountant.on_cost(1, CostKind.BACKOFF, 20.0)
         totals = accountant.totals()
         assert totals["total"] == 150.0
         assert totals["backoff"] == 20.0

@@ -11,8 +11,10 @@ import json
 import pytest
 
 from repro.config import SimConfig
+from repro.core.context import TxnStatus
 from repro.errors import AbortReason, SchedulerError, TransactionAborted
 from repro.obs.profile import TimeAccountant, check_accounting
+from repro.obs.tracing import EventKind, MemorySink
 from repro.cc.two_pl import TwoPL
 from repro.sim.events import Cost, WaitFor, WaitKind
 from repro.storage.locks import LockMode, LockTable
@@ -56,10 +58,10 @@ class TestSubscriptions:
         scheduler, cc, _ = build([make(0, 1), make(1, 0)], n_txns=[1, 1])
         scheduler.run(9_000.0)
         assert done["n"] == 2
+        assert scheduler._parked == {}
         assert scheduler._subs == {}
-        assert scheduler._sub_keys == {}
         assert scheduler._dirty == set()
-        assert scheduler._park_order == {}
+        assert scheduler._pending_exc == {}
 
     def test_notify_flags_only_subscribers(self):
         ctxs = {}
@@ -267,7 +269,7 @@ class TestLiveLockEdges:
                                      n_txns=[1, 1, 1])
         scheduler.run(3.0)
         w1 = scheduler._workers[1]
-        wait = scheduler._parked[w1]
+        wait = scheduler._parked[w1].wait
         assert ctxs[1] in wait.dep_ctxs  # park-time holders, for the trace
         assert set(wait.edges()) == {ctxs[0]}
         assert scheduler._successors(w1) == [scheduler._workers[0]]
@@ -275,6 +277,159 @@ class TestLiveLockEdges:
         scheduler.run(5_000.0)
         assert aborted == []
         assert stats.total_commits == 3
+
+
+    def test_parked_on_cycle_reads_live_edges(self):
+        """``parked_on_cycle`` asks the live graph: W0 waits on W1's
+        commit, W1 waits on a lock that changes hands to W0 while both
+        are parked (behind the scheduler's back, which a real lock table
+        never does — a grant goes to a running worker)."""
+        ctxs, granted = {}, []
+
+        def waits_on_w1(ctx, sched, log):
+            ctxs[0] = ctx
+            yield Cost(1.0)
+            dep = ctxs[1]
+            yield WaitFor(dep.is_terminal, WaitKind.COMMIT_DEPS, [dep])
+
+        def lock_waiter(ctx, sched, log):
+            ctxs[1] = ctx
+            yield Cost(2.0)
+            yield WaitFor(lambda: False, WaitKind.LOCK, wake_keys=("lock",),
+                          holders=lambda: [ctxs[0]] if granted else [])
+
+        scheduler, _, _ = build([waits_on_w1, lock_waiter], n_txns=[1, 1])
+        scheduler.run(3.0)
+        assert scheduler.parked_count == 2
+        assert scheduler.parked_on_cycle() == []
+        granted.append(True)
+        assert scheduler.parked_on_cycle() == [0, 1]
+
+
+class TestAbortVerbs:
+    """``interrupt`` (deferred to the worker's next advance) and
+    ``abort_parked`` (at once, from a callback)."""
+
+    @staticmethod
+    def _parks_once(worker_id):
+        """Parks on a wait nothing notifies; the retry just commits."""
+        attempts = []
+
+        def script(ctx, sched, log):
+            attempts.append(sched.now)
+            if len(attempts) > 1:
+                return
+            try:
+                yield Cost(1.0)
+                yield WaitFor(lambda: False, WaitKind.LOCK,
+                              wake_keys=("never notified",))
+            except TransactionAborted as exc:
+                log.append(("aborted", worker_id, exc.reason, sched.now))
+                raise
+        return script
+
+    @staticmethod
+    def _sleeps(worker_id, ticks):
+        def script(ctx, sched, log):
+            try:
+                yield Cost(ticks)
+            except TransactionAborted as exc:
+                log.append(("aborted", worker_id, exc.reason, sched.now))
+                raise
+            log.append(("slept", worker_id, sched.now))
+        return script
+
+    def _run(self, scripts, at, verb):
+        """Run ``scripts``, calling ``verb(scheduler, worker 0)`` from a
+        callback at ``at`` — scheduled before the run, so it fires first
+        at that instant.  Returns (scheduler, log, stats, WAIT_ENDs)."""
+        scheduler, cc, stats = build(scripts, n_txns=[1] * len(scripts))
+        sink = scheduler.trace = MemorySink()
+        worker = scheduler._workers[0]
+        scheduler.schedule_callback(at, lambda: verb(scheduler, worker))
+        scheduler.run(100.0)
+        wait_ends = [(event.ts, event.worker, event.attrs["outcome"])
+                     for event in sink.events
+                     if event.kind == EventKind.WAIT_END]
+        return scheduler, cc.log, stats, wait_ends
+
+    @staticmethod
+    def _fault():
+        return TransactionAborted(AbortReason.FAULT, "test")
+
+    def test_interrupt_parked_aborts_after_events_queued_for_the_instant(
+            self):
+        # W1's wake-up at t=5 was queued at t=0; the interrupted W0 is
+        # scheduled at now, behind it
+        scheduler, log, stats, wait_ends = self._run(
+            [self._parks_once(0), self._sleeps(1, 5.0)], 5.0,
+            lambda sched, w: sched.interrupt(w, self._fault(), "fault"))
+        assert log == [("slept", 1, 5.0),
+                       ("aborted", 0, AbortReason.FAULT, 5.0)]
+        assert wait_ends == [(5.0, 0, "fault")]
+        assert stats.total_commits == 2
+        assert scheduler._pending_exc == {}
+
+    def test_abort_parked_aborts_before_events_queued_for_the_instant(self):
+        returned = []
+        scheduler, log, stats, wait_ends = self._run(
+            [self._parks_once(0), self._sleeps(1, 5.0)], 5.0,
+            lambda sched, w: returned.append(
+                sched.abort_parked(w, self._fault(), "fault")))
+        assert returned == [True]
+        assert log == [("aborted", 0, AbortReason.FAULT, 5.0),
+                       ("slept", 1, 5.0)]
+        assert wait_ends == [(5.0, 0, "fault")]
+
+    def test_abort_parked_leaves_a_sleeping_worker_alone(self):
+        returned = []
+        _, log, stats, wait_ends = self._run(
+            [self._sleeps(0, 10.0)], 5.0,
+            lambda sched, w: returned.append(
+                sched.abort_parked(w, self._fault(), "fault")))
+        assert returned == [False]
+        assert log == [("slept", 0, 10.0)]
+        assert stats.total_aborts == 0
+
+    def test_interrupt_sleeping_aborts_at_its_natural_wake_up(self):
+        scheduler, log, stats, wait_ends = self._run(
+            [self._sleeps(0, 10.0)], 5.0,
+            lambda sched, w: sched.interrupt(w, self._fault(), "fault"))
+        assert log[0] == ("aborted", 0, AbortReason.FAULT, 10.0)
+        assert wait_ends == []
+        assert scheduler._pending_exc == {}
+
+    def test_a_second_interrupt_replaces_the_first(self):
+        """One pending abort per worker: the later one is delivered, once,
+        and nothing is left over for the retry."""
+        def twice(sched, worker):
+            sched.interrupt(worker, self._fault(), "fault")
+            sched.interrupt(worker, TransactionAborted(
+                AbortReason.DEADLINE, "test"), "deadline")
+
+        _, log, stats, _ = self._run([self._sleeps(0, 10.0)], 5.0, twice)
+        assert log == [("aborted", 0, AbortReason.DEADLINE, 10.0),
+                       ("slept", 0, 20.0)]
+        assert stats.total_aborts == 1
+
+    def test_pending_exception_of_a_committed_attempt_is_dropped(self):
+        """The deadline rule: the attempt commits, then sleeps (as a
+        durable commit's log append does) while the interrupt lands; at
+        the wake-up nothing active is left to abort."""
+        def commits_then_sleeps(ctx, sched, log):
+            yield Cost(1.0)
+            ctx.status = TxnStatus.COMMITTED
+            sched.notify(ctx)
+            yield Cost(10.0)
+            log.append(("finished", sched.now))
+
+        scheduler, log, stats, _ = self._run(
+            [commits_then_sleeps], 5.0,
+            lambda sched, w: sched.interrupt(w, self._fault(), "fault"))
+        assert log == [("finished", 11.0)]
+        assert stats.total_aborts == 0
+        assert stats.total_commits == 1
+        assert scheduler._pending_exc == {}
 
 
 class TestSegmentedAccounting:

@@ -136,7 +136,7 @@ class TestWaiting:
         def setter(ctx, sched, log):
             yield Cost(30.0)
             flag["ready"] = True
-            sched.notify_lock("flag")
+            sched.notify("flag")
             yield Cost(1.0)
 
         scheduler, cc, _ = build([waiter, setter], n_txns=[1, 1])
@@ -162,7 +162,7 @@ class TestWaiting:
         def setter(ctx, sched, log):
             yield Cost(40.0)
             flag["ready"] = True
-            sched.notify_lock("flag")
+            sched.notify("flag")
             yield Cost(1.0)
 
         scheduler, _, _ = build([waiter, setter], n_txns=[1, 1])
@@ -217,6 +217,32 @@ class TestCyclesAndTimeouts:
         scheduler.run(1000.0)
         assert scheduler.timeout_breaks == 1
         assert "survived" in cc.log
+
+    def test_timeout_of_an_earlier_park_spares_the_next_one(self):
+        flag = []
+
+        def waiter(ctx, sched, log):
+            yield WaitFor(lambda: bool(flag), WaitKind.PROGRESS,
+                          wake_keys=("flag",))
+            yield Cost(40.0)
+            yield WaitFor(lambda: False, WaitKind.PROGRESS,
+                          wake_keys=("never notified",))
+            log.append(("survived", sched.now))
+
+        def setter(ctx, sched, log):
+            yield Cost(10.0)
+            flag.append(True)
+            sched.notify("flag")
+
+        cost = CostModel(wait_timeout=100.0)
+        scheduler, cc, _ = build([waiter, setter], n_txns=[1, 1], cost=cost)
+        # the first park's timer fires at t=100, inside the second park
+        scheduler.run(120.0)
+        assert scheduler.timeout_breaks == 0
+        assert scheduler.parked_count == 1
+        scheduler.run(1000.0)
+        assert scheduler.timeout_breaks == 1
+        assert ("survived", 150.0) in cc.log
 
     def test_abort_on_timeout_for_correctness_waits(self):
         def forever(ctx, sched, log):
