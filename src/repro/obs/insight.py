@@ -19,12 +19,14 @@ answers by hand:
   policy's chosen actions, so a learned policy's behaviour is explainable
   ("this state ran 4 812 times with DIRTY_READ + PUBLIC + validate").
 
-Each analyser is a fold — its state, ``feed(event)``, ``result()`` —
-whose state is bounded by workers, access sites and policy states, never
-by trace length; ``repro report`` feeds all of them from one streaming
-pass over the trace file.  The public functions feed an event list to
-the same fold.  No simulation state, no RNG, deterministic output for a
-deterministic trace.
+Each analyser is a fold — its state, ``kinds``, ``feed(event)``,
+``result()`` — whose state is bounded by workers, access sites and policy
+states, never by trace length; ``repro report`` feeds all of them from one
+streaming pass over the trace file.  ``kinds`` names the event kinds the
+fold reads (``None``: every kind) and ``feed`` ignores any other, so
+``repro report`` hands each event only to the folds that read its kind.
+The public functions feed an event list to the same fold.  No simulation
+state, no RNG, deterministic output for a deterministic trace.
 """
 
 from __future__ import annotations
@@ -92,6 +94,10 @@ def conflict_attribution(events: List[TraceEvent], top_k: int = 10) -> dict:
 
 class _ConflictAttribution:
     """The fold behind :func:`conflict_attribution`."""
+
+    kinds = frozenset((
+        EventKind.ACCESS, EventKind.WAIT_BEGIN, EventKind.WAIT_END,
+        EventKind.ABORT, EventKind.PIECE_RETRY, EventKind.DOOM))
 
     def __init__(self, top_k: int = 10) -> None:
         self.top_k = top_k
@@ -227,6 +233,10 @@ def latency_critical_path(events: List[TraceEvent]) -> dict:
 class _CriticalPath:
     """The fold behind :func:`latency_critical_path`."""
 
+    kinds = frozenset((
+        EventKind.TX_START, EventKind.WAIT_END, EventKind.BACKOFF,
+        EventKind.COMMIT, EventKind.EPOCH))
+
     def __init__(self) -> None:
         #: worker -> its in-flight invocation's measured waits and backoff
         self.spans: Dict[int, _Span] = {}
@@ -336,6 +346,8 @@ def policy_audit(events: List[TraceEvent], policy=None) -> dict:
 
 class _PolicyAudit:
     """The fold behind :func:`policy_audit`."""
+
+    kinds = frozenset((EventKind.ACCESS,))
 
     def __init__(self, policy=None) -> None:
         self.policy = policy

@@ -17,7 +17,7 @@ usable as a CI gate.
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..config import TICKS_PER_SECOND
 from ..errors import ReproError
@@ -80,18 +80,26 @@ def build_report(trace_path: Optional[str] = None,
 
 def _analyse_trace(path: str, top_k: int, policy,
                    derive_timeline: bool) -> dict:
-    """One pass over the trace file feeding each analyser fold; returns
-    the event count and each fold's result, plus a trace-derived
-    ``timeline`` when asked for and the trace committed or aborted."""
+    """One pass over the trace file feeding each event to the analyser
+    folds that read its kind; returns the event count and each fold's
+    result, plus a trace-derived ``timeline`` when asked for and the
+    trace committed or aborted."""
     folds = {"attribution": _ConflictAttribution(top_k),
              "critical_path": _CriticalPath(),
              "policy_audit": _PolicyAudit(policy)}
     if derive_timeline:
         folds["timeline"] = _TimelineFold()
-    feeds = [fold.feed for fold in folds.values()]
+    # kind -> the feed of each fold that reads it, built on first sight
+    routes: Dict[str, list] = {}
     count = 0
     for lineno, event in _iter_numbered_jsonl(path):
         count += 1
+        kind = event.kind
+        feeds = routes.get(kind)
+        if feeds is None:
+            feeds = routes[kind] = [
+                fold.feed for fold in folds.values()
+                if fold.kinds is None or kind in fold.kinds]
         try:
             for feed in feeds:
                 feed(event)
@@ -167,6 +175,9 @@ def _summary_from_metrics(rows: List[dict]) -> dict:
 class _TimelineFold:
     """Fallback per-window throughput derived straight from COMMIT events
     when no timeline artifact was exported alongside the trace."""
+
+    #: every kind: the worker count is taken from all events
+    kinds = None
 
     def __init__(self, window: float = 1000.0) -> None:
         self.window = window

@@ -24,6 +24,7 @@ as complete slices and accesses/validations as instant markers.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import (Dict, IO, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -130,16 +131,30 @@ class TraceEvent:
             data["attrs"] = attrs
         return data
 
+    def _jsonl(self) -> str:
+        """This event as one JSONL line, without the newline: exactly
+        ``json.dumps(self.to_dict())``.  The per-access subclasses format
+        the same bytes directly; this is their fallback."""
+        return json.dumps(self.to_dict())
+
     @staticmethod
     def from_dict(data: dict) -> "TraceEvent":
         """Rebuild an event from :meth:`to_dict` output.  A ``type`` that
         is not a string or ``attrs`` that is not an object is a
         :class:`TypeError` (readers index both)."""
-        txn_type = data.get("type")
+        get = data.get
+        ts = get("ts")
+        kind = get("kind")
+        worker = get("worker")
+        txn_type = get("type")
+        attrs = get("attrs")
+        if (type(ts) is float and type(kind) is str and type(worker) is int
+                and type(txn_type) is str and type(attrs) is dict):
+            # what write_jsonl writes for a typed event: nothing to check
+            return TraceEvent(ts, kind, worker, get("txn"), txn_type, attrs)
         if txn_type is not None and not isinstance(txn_type, str):
             raise TypeError(f"'type' must be a string, not "
                             f"{type(txn_type).__name__}")
-        attrs = data.get("attrs")
         if attrs is not None and not isinstance(attrs, dict):
             raise TypeError(f"'attrs' must be an object, not "
                             f"{type(attrs).__name__}")
@@ -163,6 +178,32 @@ class TraceEvent:
 # and a list.  ``attrs`` and ``to_dict()`` equal what a dict-carrying
 # TraceEvent of the same kind would give, key order included.  The kind is
 # fixed per class; the base ``attrs`` slot stays unused.
+#
+# Each also formats its own JSONL line: the bytes ``json.dumps`` gives for
+# ``to_dict()``, built from ``float.__repr__`` (what json writes for a
+# finite float), ``str`` of ints and json's own string encoder
+# (``_json_str``).  A field whose type is not what the emit sites pass
+# takes the base encoder.
+
+
+#: ``"[%d, ..., %d]"`` by length: an all-int key tuple's JSON list in one
+#: format call (``%d`` of an int is its ``str``)
+_INT_LISTS = tuple("[" + ", ".join(("%d",) * n) + "]" for n in range(8))
+
+
+def _jsonl_head(event: TraceEvent) -> Optional[str]:
+    """A per-access event's line up to its attrs object, or ``None`` when
+    ``ts`` is not a finite float, ``worker`` / ``txn`` not an int or the
+    type not a string."""
+    ts = event.ts
+    worker = event.worker
+    txn = event.txn
+    txn_type = event.txn_type
+    if (type(ts) is not float or ts - ts != 0.0 or type(worker) is not int
+            or type(txn) is not int or type(txn_type) is not str):
+        return None
+    return (f'{{"ts": {ts!r}, "kind": "{event.kind}", "worker": {worker}, '
+            f'"txn": {txn}, "type": {_json_str(txn_type)}, "attrs": ')
 
 
 class AccessEvent(TraceEvent):
@@ -193,6 +234,28 @@ class AccessEvent(TraceEvent):
                 "key": list(key) if key is not None else None,
                 "op": self.op}
 
+    def _jsonl(self) -> str:
+        head = _jsonl_head(self)
+        access_id = self.access_id
+        table = self.table
+        key = self.key
+        op = self.op
+        if (head is None or type(access_id) is not int
+                or type(table) is not str or type(op) is not str):
+            return TraceEvent._jsonl(self)
+        if key is None:
+            key_json = "null"
+        elif type(key) is tuple and len(key) < len(_INT_LISTS):
+            for part in key:
+                if type(part) is not int:
+                    return TraceEvent._jsonl(self)
+            key_json = _INT_LISTS[len(key)] % key
+        else:
+            return TraceEvent._jsonl(self)
+        return (f'{head}{{"access_id": {access_id}, "table": '
+                f'{_json_str(table)}, "key": {key_json}, "op": '
+                f'{_json_str(op)}}}}}')
+
     def __reduce__(self):
         return (AccessEvent, (self.ts, self.worker, self.txn, self.txn_type,
                               self.access_id, self.table, self.key, self.op))
@@ -222,6 +285,16 @@ class EarlyValidateEvent(TraceEvent):
         return {"phase": "early", "entries": self.entries,
                 "publish": self.publish}
 
+    def _jsonl(self) -> str:
+        head = _jsonl_head(self)
+        entries = self.entries
+        publish = self.publish
+        if (head is None or type(entries) is not int
+                or type(publish) is not bool):
+            return TraceEvent._jsonl(self)
+        return (f'{head}{{"phase": "early", "entries": {entries}, '
+                f'"publish": {"true" if publish else "false"}}}}}')
+
     def __reduce__(self):
         return (EarlyValidateEvent, (self.ts, self.worker, self.txn,
                                      self.txn_type, self.entries,
@@ -249,6 +322,16 @@ class FinalValidateEvent(TraceEvent):
     @property
     def attrs(self) -> dict:
         return {"phase": "final", "reads": self.reads, "writes": self.writes}
+
+    def _jsonl(self) -> str:
+        head = _jsonl_head(self)
+        reads = self.reads
+        writes = self.writes
+        if (head is None or type(reads) is not int
+                or type(writes) is not int):
+            return TraceEvent._jsonl(self)
+        return (f'{head}{{"phase": "final", "reads": {reads}, '
+                f'"writes": {writes}}}}}')
 
     def __reduce__(self):
         return (FinalValidateEvent, (self.ts, self.worker, self.txn,
@@ -298,7 +381,8 @@ class MemorySink(TraceSink):
 
 
 class JsonlStreamSink(TraceSink):
-    """Stream events straight to a JSONL file handle (constant memory)."""
+    """Stream events straight to a JSONL file handle (constant memory);
+    the bytes :func:`write_jsonl` writes for the same events."""
 
     enabled = True
 
@@ -307,7 +391,7 @@ class JsonlStreamSink(TraceSink):
         self._fh.write(_schema_header() + "\n")
 
     def emit(self, event: TraceEvent) -> None:
-        self._fh.write(json.dumps(event.to_dict()) + "\n")
+        self._fh.write(event._jsonl() + "\n")
 
     def close(self) -> None:
         self._fh.close()
@@ -321,17 +405,21 @@ def write_jsonl(events: Iterable[TraceEvent],
                 path_or_fh: Union[str, IO[str]]) -> int:
     """Write events one-JSON-object-per-line; returns the event count.
 
-    Accepts a path or an open file handle (the CLI passes a handle from an
-    atomic-write context so a killed process never truncates the trace).
+    Each line is the event's ``_jsonl()``: byte for byte
+    ``json.dumps(event.to_dict())``, the per-access kinds formatted
+    directly.  Accepts a path or an open file handle (the CLI passes a
+    handle from an atomic-write context so a killed process never
+    truncates the trace).
     The first line is a ``{"schema": ..., "version": ...}`` header (not
     counted); :func:`read_jsonl` validates it on the way back in."""
     if isinstance(path_or_fh, str):
         with open(path_or_fh, "w") as fh:
             return write_jsonl(events, fh)
-    path_or_fh.write(_schema_header() + "\n")
+    write = path_or_fh.write
+    write(_schema_header() + "\n")
     count = 0
     for event in events:
-        path_or_fh.write(json.dumps(event.to_dict()) + "\n")
+        write(event._jsonl() + "\n")
         count += 1
     return count
 
@@ -359,6 +447,9 @@ def _iter_numbered_jsonl(path: str) -> Iterator[Tuple[int, TraceEvent]]:
     """:func:`iter_jsonl` with each event's line number, so a consumer can
     name ``path:line`` when an event's attrs values turn out wrong-typed."""
     first = True
+    # the decoder's C scanner without json.loads' wrapper: a stripped line
+    # is one JSON value iff the scan ends at its end
+    scan = json.JSONDecoder().scan_once
     try:
         fh = open(path)
     except OSError as exc:
@@ -369,10 +460,17 @@ def _iter_numbered_jsonl(path: str) -> Iterator[Tuple[int, TraceEvent]]:
             if not line:
                 continue
             try:
-                data = json.loads(line)
+                try:
+                    data, end = scan(line, 0)
+                except StopIteration:
+                    end = -1
+                if end != len(line):
+                    # no value, or data after it: json.loads raises with
+                    # its own message
+                    data = json.loads(line)
             except ValueError as exc:
                 raise ReproError(
-                    f"{path}: not a JSONL trace: {exc}") from exc
+                    f"{path}:{lineno}: not a JSONL trace: {exc}") from exc
             if first:
                 first = False
                 if isinstance(data, dict) and "schema" in data:

@@ -115,6 +115,12 @@ class TestJsonl:
          "'attrs' must be an object"),
         ('{"ts": 1.0, "kind": "access", "type": ["x"]}',
          "'type' must be a string"),
+        # the decoder's own message, after the file's line number
+        ('{"ts": 1.0, "kind": "access", "type": "neworder',
+         "not a JSONL trace: Unterminated string"),
+        ('{"ts": 1.0, "kind": "commit"} {"ts": 2.0, "kind": "commit"}',
+         "not a JSONL trace: Extra data"),
+        ("NaN", "not a JSON object"),
         # attrs values are checked by the report's folds, not the reader
         ('{"ts": 1.0, "kind": "access", "worker": 0, "type": "t", '
          '"attrs": {"access_id": [1]}}', ATTRS_VALUE),
