@@ -22,6 +22,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.profile import TimeAccountant
 from ..obs.tracing import TraceSink
 from ..rng import spawn_rng
+from ..sim.collector import paused
 from ..sim.scheduler import Scheduler
 from ..sim.stats import RunStats
 from ..sim.worker import Worker
@@ -95,98 +96,112 @@ def run_protocol(workload_factory: WorkloadFactory, cc, config: SimConfig,
         return _run_probed(workload_factory, cc, config, recorder,
                            check_invariants, trace_sink, accountant, metrics,
                            fault_plan, timeline)
-    workload = workload_factory()
-    db = workload.build_database()
-    runtime = None
-    if config.cluster is not None:
-        runtime = ClusterRuntime(
-            config, partitioner_for(workload, config.cluster.n_shards))
-        # shard the tables before CC setup (the executor caches the table
-        # dict at setup time), and wrap the protocol so transactional
-        # accesses are classified and charged
-        runtime.shard_tables(db)
-        cc = ClusterCC(cc, runtime)
-    cc.setup(db, workload.spec, config)
-    if recorder is not None:
-        cc.recorder = recorder
-    stats = RunStats(workload.type_names(), warmup_end=config.warmup,
-                     collect_latency=config.collect_latency)
-    injector = None
-    if fault_plan is not None:
-        injector = FaultInjector(fault_plan,
-                                 spawn_rng(config.seed, FAULT_RNG_SALT))
-    scheduler = Scheduler(config, trace=trace_sink, accountant=accountant,
-                          faults=injector)
-    if runtime is not None:
-        runtime.install(scheduler)
-    if timeline is not None:
-        # the windowed run-insight sampler: the scheduler feeds it waits,
-        # stats feeds commits/aborts/backoff, durability feeds flushes
-        scheduler.timeline = timeline
-        stats.sampler = timeline
-    manager = None
-    if config.durability is not None:
-        if runtime is not None:
-            manager = ClusterDurability(config, db, workload, cc, stats,
-                                        runtime)
-        else:
-            manager = DurabilityManager(config, db, workload, cc, stats)
-        scheduler.durability = manager
-    frontend = None
-    if config.frontend is not None:
-        frontend = Frontend(
-            config, workload, stats,
-            backoff_policy=getattr(cc, "backoff_policy", None),
-            runtime=runtime)
-    for worker_id in range(config.n_workers):
-        worker = Worker(worker_id, scheduler, cc, workload, stats, config,
-                        spawn_rng(config.seed, worker_id))
-        scheduler.add_worker(worker)
-    if manager is not None:
-        manager.install(scheduler,
-                        lambda wid, rng: Worker(wid, scheduler, cc, workload,
-                                                stats, config, rng))
-    if frontend is not None:
-        # before injector.install: scripted burst events validate against
-        # scheduler.frontend
-        frontend.install(scheduler)
-    if injector is not None:
-        injector.install(scheduler)
-    for time, fn in callbacks:
-        scheduler.schedule_callback(time, lambda fn=fn: fn(cc))
-    scheduler.run(config.duration)
-    scheduler.finish_accounting()
-    scheduler.close()
-    if manager is not None:
-        manager.finalize()
-    if frontend is not None:
-        frontend.finalize(config.duration)
-    stats.start_time = 0.0
-    stats.end_time = config.duration
-    violations = workload.check_invariants() if check_invariants else []
-    if check_invariants and (injector is not None or frontend is not None):
-        # the run may have swapped databases during node-crash recovery;
-        # scan the one that is live at the end.  Under overload the scan
-        # also proves shed / deadline-aborted txns left no lock or
-        # access-list residue behind.
-        final_db = manager.db if manager is not None else db
-        violations.extend(storage_residue(final_db))
-    if manager is not None:
-        violations.extend(manager.violations)
-    if frontend is not None and check_invariants:
-        violations.extend(frontend.check_invariants())
-    cc_name = getattr(cc, "name", "cc")
-    if metrics is not None:
-        _record_run_metrics(metrics, cc_name, stats, scheduler, injector,
-                            manager, frontend, runtime)
-        if timeline is not None:
-            timeline.install_metrics(metrics, cc=cc_name)
-    return ExperimentResult(cc_name, stats, violations,
-                            fault_counts=dict(injector.fired)
-                            if injector is not None else None,
-                            livelock_fires=scheduler.livelock_fires,
-                            durability=manager,
-                            frontend=frontend)
+    with paused():
+        # the collector sleeps from build to release: the world a run
+        # builds is freed by reference counting, so nothing piles up
+        workload = workload_factory()
+        db = workload.build_database()
+        runtime = None
+        if config.cluster is not None:
+            runtime = ClusterRuntime(
+                config, partitioner_for(workload, config.cluster.n_shards))
+            # shard the tables before CC setup (the executor caches the
+            # table dict at setup time), and wrap the protocol so
+            # transactional accesses are classified and charged
+            runtime.shard_tables(db)
+            cc = ClusterCC(cc, runtime)
+        cc.setup(db, workload.spec, config)
+        if recorder is not None:
+            cc.recorder = recorder
+        stats = RunStats(workload.type_names(), warmup_end=config.warmup,
+                         collect_latency=config.collect_latency)
+        injector = None
+        if fault_plan is not None:
+            injector = FaultInjector(fault_plan,
+                                     spawn_rng(config.seed, FAULT_RNG_SALT))
+        scheduler = Scheduler(config, trace=trace_sink,
+                              accountant=accountant, faults=injector)
+        try:
+            if runtime is not None:
+                runtime.install(scheduler)
+            if timeline is not None:
+                # the windowed run-insight sampler: the scheduler feeds it
+                # waits, stats feeds commits/aborts/backoff, durability
+                # feeds flushes
+                scheduler.timeline = timeline
+                stats.sampler = timeline
+            manager = None
+            if config.durability is not None:
+                if runtime is not None:
+                    manager = ClusterDurability(config, db, workload, cc,
+                                                stats, runtime)
+                else:
+                    manager = DurabilityManager(config, db, workload, cc,
+                                                stats)
+                scheduler.durability = manager
+            frontend = None
+            if config.frontend is not None:
+                frontend = Frontend(
+                    config, workload, stats,
+                    backoff_policy=getattr(cc, "backoff_policy", None),
+                    runtime=runtime)
+            for worker_id in range(config.n_workers):
+                worker = Worker(worker_id, scheduler, cc, workload, stats,
+                                config, spawn_rng(config.seed, worker_id))
+                scheduler.add_worker(worker)
+            if manager is not None:
+                manager.install(scheduler,
+                                lambda wid, rng: Worker(wid, scheduler, cc,
+                                                        workload, stats,
+                                                        config, rng))
+            if frontend is not None:
+                # before injector.install: scripted burst events validate
+                # against scheduler.frontend
+                frontend.install(scheduler)
+            if injector is not None:
+                injector.install(scheduler)
+            for time, fn in callbacks:
+                scheduler.schedule_callback(time, lambda fn=fn: fn(cc))
+            scheduler.run(config.duration)
+            scheduler.finish_accounting()
+            scheduler.close()
+            if manager is not None:
+                manager.finalize()
+            if frontend is not None:
+                frontend.finalize(config.duration)
+            stats.start_time = 0.0
+            stats.end_time = config.duration
+            violations = (workload.check_invariants() if check_invariants
+                          else [])
+            if check_invariants and (injector is not None
+                                     or frontend is not None):
+                # the run may have swapped databases during node-crash
+                # recovery; scan the one that is live at the end.  Under
+                # overload the scan also proves shed / deadline-aborted
+                # txns left no lock or access-list residue behind.
+                final_db = manager.db if manager is not None else db
+                violations.extend(storage_residue(final_db))
+            if manager is not None:
+                violations.extend(manager.violations)
+            if frontend is not None and check_invariants:
+                violations.extend(frontend.check_invariants())
+            cc_name = getattr(cc, "name", "cc")
+            if metrics is not None:
+                _record_run_metrics(metrics, cc_name, stats, scheduler,
+                                    injector, manager, frontend, runtime)
+                if timeline is not None:
+                    timeline.install_metrics(metrics, cc=cc_name)
+            return ExperimentResult(cc_name, stats, violations,
+                                    fault_counts=dict(injector.fired)
+                                    if injector is not None else None,
+                                    livelock_fires=scheduler.livelock_fires,
+                                    durability=manager,
+                                    frontend=frontend)
+        finally:
+            # after the finalizers, invariants and metrics (which still
+            # read the scheduler's layers), also when an exception —
+            # a LivelockError — escapes the run
+            scheduler.release()
 
 
 def _record_run_metrics(metrics: MetricsRegistry, cc_name: str,

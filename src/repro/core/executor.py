@@ -70,12 +70,12 @@ class CompiledRow:
 
     * ``wait_plan[dep_type]`` is ``None`` (NO_WAIT), ``REQUIRE_COMMIT``,
       or the progress target the dependent transaction must reach;
-    * ``next_row`` is the compiled row of ``min(access_id + 1, d - 1)`` —
-      the consolidated-wait row early validation consults (§4.3).
+    * ``next_plan`` is the ``wait_plan`` of ``min(access_id + 1, d - 1)``
+      — the consolidated wait early validation applies (§4.3).
     """
 
     __slots__ = ("read_dirty", "write_public", "early_validate", "wait_plan",
-                 "next_row")
+                 "next_plan")
 
     def __init__(self, read_dirty: int, write_public: int,
                  early_validate: int, wait_plan: tuple) -> None:
@@ -83,7 +83,7 @@ class CompiledRow:
         self.write_public = write_public
         self.early_validate = early_validate
         self.wait_plan = wait_plan
-        self.next_row: "CompiledRow" = self
+        self.next_plan: Optional[tuple] = wait_plan
 
 
 class PolicyExecutor(ConcurrencyControl):
@@ -179,7 +179,8 @@ class PolicyExecutor(ConcurrencyControl):
                     row.read_dirty, row.write_public, row.early_validate,
                     self._compile_wait_plan(row.wait)))
             for access_id, crow in enumerate(rows):
-                crow.next_row = rows[min(access_id + 1, len(rows) - 1)]
+                crow.next_plan = \
+                    rows[min(access_id + 1, len(rows) - 1)].wait_plan
             tables.append(rows)
         self._compiled_rows = tables
         self._compiled_for = policy
@@ -626,7 +627,7 @@ class PolicyExecutor(ConcurrencyControl):
         ~once per access on IC3-style policies, and a nested generator
         here would add a frame to every scheduler resume of the chain."""
         # consolidated wait: use the wait action of the *next* access-id
-        plan = crow.next_row.wait_plan
+        plan = crow.next_plan
         wait = None
         if ctx.deps and plan is not None:
             wait = self._wait_over(ctx, ctx.deps, plan)

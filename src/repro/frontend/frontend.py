@@ -50,23 +50,21 @@ RETRY_JITTER = 0.1
 
 
 class ShardView:
-    """One shard's queue as its workers see it: wait predicate, dequeue,
-    and the wake key idle workers park on — so an arrival wakes only
-    workers of the shard it landed on."""
+    """One shard's queue as its workers see it: wait predicate, shard
+    index for :meth:`Frontend.next_item`, and the wake key idle workers
+    park on — so an arrival wakes only workers of the shard it landed on.
+    It holds no reference back to the frontend, so a finished run's
+    frontend is freed by reference counting."""
 
-    __slots__ = ("fe", "shard", "queue")
+    __slots__ = ("shard", "queue")
 
-    def __init__(self, fe: "Frontend", shard: int) -> None:
-        self.fe = fe
+    def __init__(self, shard: int, queue: AdmissionQueue) -> None:
         self.shard = shard
-        self.queue = fe.queues[shard]
+        self.queue = queue
 
     def has_work(self) -> bool:
         """Wait predicate for idle workers (see ``WaitKind.ARRIVAL``)."""
         return self.queue.has_work()
-
-    def next_item(self) -> Optional[QueuedInvocation]:
-        return self.fe.next_item(self.shard)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ShardView({self.shard})"
@@ -97,8 +95,8 @@ class Frontend:
         self.queues = [AdmissionQueue(fc.queue_cap, fc.shed_policy,
                                       dict(fc.priorities))
                        for _ in range(self.n_shards)]
-        self._views = [ShardView(self, shard)
-                       for shard in range(self.n_shards)]
+        self._views = [ShardView(shard, queue)
+                       for shard, queue in enumerate(self.queues)]
         self.scheduler = None
         self.n_clients = fc.n_clients or config.n_workers
         self._retry_cap = None

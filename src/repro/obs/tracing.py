@@ -133,8 +133,15 @@ class TraceEvent:
 
     def _jsonl(self) -> str:
         """This event as one JSONL line, without the newline: exactly
-        ``json.dumps(self.to_dict())``.  The per-access subclasses format
-        the same bytes directly; this is their fallback."""
+        ``json.dumps(self.to_dict())``.  The kinds every attempt, commit
+        and wait emits, and the per-access subclasses, format the same
+        bytes directly; this call is their fallback."""
+        kind = self.kind
+        fields = _ATTRS_JSON.get(kind) if type(kind) is str else None
+        if fields is not None:
+            line = _dict_jsonl(self, fields)
+            if line is not None:
+                return line
         return json.dumps(self.to_dict())
 
     @staticmethod
@@ -168,6 +175,85 @@ class TraceEvent:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"TraceEvent({self.ts}, {self.kind}, w{self.worker}"
                 + (f", txn={self.txn}" if self.txn is not None else "") + ")")
+
+
+# ---------------------------------------------------------------------- #
+# Dict-carrying kinds every attempt, commit and wait emits (TX_START,
+# COMMIT, WAIT_BEGIN, WAIT_END): a line formatted from the attrs values
+# the emit sites pass, in the dict's own key order (which is json's).  Any
+# other key or value type takes json.dumps.
+
+
+def _int_json(value) -> Optional[str]:
+    return str(value) if type(value) is int else None
+
+
+def _float_json(value) -> Optional[str]:
+    # a finite float's JSON is its repr; NaN and infinities are not
+    return repr(value) if type(value) is float and value - value == 0.0 \
+        else None
+
+
+def _str_json(value) -> Optional[str]:
+    return _json_str(value) if type(value) is str else None
+
+
+def _bool_json(value) -> Optional[str]:
+    if type(value) is not bool:
+        return None
+    return "true" if value else "false"
+
+
+def _strs_json(value) -> Optional[str]:
+    if type(value) is not list:
+        return None
+    for item in value:
+        if type(item) is not str:
+            return None
+    return "[" + ", ".join(map(_json_str, value)) + "]"
+
+
+#: kind -> {attrs key: value encoder} over every key its emit sites write,
+#: the optional ones (``deps``, ``deadline_met``, ``log_cost``) included
+_ATTRS_JSON: Dict[str, Dict[str, object]] = {
+    EventKind.TX_START: {"attempt": _int_json},
+    EventKind.COMMIT: {"attempts": _int_json, "latency": _float_json,
+                       "deadline_met": _bool_json, "log_cost": _float_json},
+    EventKind.WAIT_BEGIN: {"wait_kind": _str_json, "n_deps": _int_json,
+                           "deps": _strs_json},
+    EventKind.WAIT_END: {"wait_kind": _str_json, "waited": _float_json,
+                         "outcome": _str_json},
+}
+
+
+def _dict_jsonl(event: TraceEvent, fields: dict) -> Optional[str]:
+    """``event``'s line from its kind's ``fields``, or ``None`` when a
+    field or attrs value is not of a type the emit sites pass."""
+    ts = event.ts
+    worker = event.worker
+    txn = event.txn
+    txn_type = event.txn_type
+    attrs = event.attrs
+    if (type(ts) is not float or ts - ts != 0.0 or type(worker) is not int
+            or type(attrs) is not dict or not attrs):
+        return None
+    line = f'{{"ts": {ts!r}, "kind": "{event.kind}", "worker": {worker}'
+    if txn is not None:
+        if type(txn) is not int:
+            return None
+        line += f', "txn": {txn}'
+    if txn_type is not None:
+        if type(txn_type) is not str:
+            return None
+        line += f', "type": {_json_str(txn_type)}'
+    parts = []
+    for key, value in attrs.items():
+        encode = fields.get(key)
+        value_json = encode(value) if encode is not None else None
+        if value_json is None:
+            return None
+        parts.append(f'"{key}": {value_json}')
+    return line + ', "attrs": {' + ", ".join(parts) + "}}"
 
 
 # ---------------------------------------------------------------------- #
@@ -406,10 +492,10 @@ def write_jsonl(events: Iterable[TraceEvent],
     """Write events one-JSON-object-per-line; returns the event count.
 
     Each line is the event's ``_jsonl()``: byte for byte
-    ``json.dumps(event.to_dict())``, the per-access kinds formatted
-    directly.  Accepts a path or an open file handle (the CLI passes a
-    handle from an atomic-write context so a killed process never
-    truncates the trace).
+    ``json.dumps(event.to_dict())``, the per-access, attempt, commit and
+    wait kinds formatted directly.  Accepts a path or an open file handle
+    (the CLI passes a handle from an atomic-write context so a killed
+    process never truncates the trace).
     The first line is a ``{"schema": ..., "version": ...}`` header (not
     counted); :func:`read_jsonl` validates it on the way back in."""
     if isinstance(path_or_fh, str):

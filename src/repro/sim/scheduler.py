@@ -51,7 +51,6 @@ read live, so it applies only while no other lock waiter is parked.
 
 from __future__ import annotations
 
-import gc
 import heapq
 import itertools
 from collections import deque
@@ -215,16 +214,6 @@ class Scheduler:
         heappop = heapq.heappop
         advance = self._advance
         events = 0
-        # pause cyclic GC for the event loop.  Nothing cyclic outlives
-        # validation.finish (it releases the context, so reference counting
-        # frees every dead attempt), hence nothing piles up while the
-        # collector is off and nothing waits for it afterwards; the pause
-        # only spares the generation passes that allocation churn keeps
-        # triggering — measured +14% loop time with the collector left on
-        # (tpcc_pj_closed: 389 gen-0, 36 gen-1, 4 full passes in 1.4 s)
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
             while True:
                 # drain the ready deque and the heap in merged (time, seq)
@@ -253,8 +242,6 @@ class Scheduler:
             # flushed here (not per event) so an escaping LivelockError or
             # watchdog abort still leaves an exact count behind
             self.events_processed += events
-            if gc_was_enabled:
-                gc.enable()
         self.now = until
 
     # ------------------------------------------------------------------ #
@@ -488,6 +475,25 @@ class Scheduler:
         for worker in self._workers:
             if not worker.finished:
                 worker.close()
+
+    def release(self) -> None:
+        """Let go of the run's world, the last step of a run: close every
+        worker (a no-op but for its in-flight context once it finished;
+        a teardown in worker-id order if an exception escaped the run),
+        then drop the queued events, park records, wake index, per-worker
+        deferrals, the workers and the attached layers.  Each of those
+        points back at the scheduler, so without this a finished run — its
+        database included — is one reference cycle only the cyclic
+        collector could free.  The counters and wait profiles stay
+        readable."""
+        for worker in self._workers:
+            worker.close()
+        for container in (self._heap, self._ready, self._parked, self._subs,
+                          self._dirty, self._pending_exc, self._deferred_cost,
+                          self._sleep_charge, self._workers):
+            container.clear()
+        self.cluster = self.durability = self.frontend = None
+        self.faults = self.timeline = None
 
     # ------------------------------------------------------------------ #
     # deadlock handling

@@ -83,9 +83,12 @@ class Worker:
         ``GeneratorExit`` at its current yield point, so an in-flight
         attempt unwinds through the executor's cleanup (scrub + doom
         cascade) instead of at whatever moment garbage collection would
-        have fired it."""
+        have fired it.  The aborted attempt's context is let go too: it
+        names the worker back, and a crashed worker outlives its run's
+        worker list."""
         self._gen.close()
         self.finished = True
+        self.current_ctx = None
 
     # ------------------------------------------------------------------ #
 
@@ -113,7 +116,7 @@ class Worker:
                     return  # workload exhausted (trace replay mode)
                 first_start = scheduler.now
             else:
-                item = view.next_item()
+                item = frontend.next_item(view.shard)
                 if item is None:
                     yield arrival_wait
                     continue

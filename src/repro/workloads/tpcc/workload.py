@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import itemgetter
 from typing import List, Optional
 
 from ...storage.database import Database
@@ -17,6 +18,9 @@ from ...core.protocol import TxnInvocation
 from ..base import MixEntry, Workload
 from . import loader, schema, transactions
 from .schema import DEFAULT_MIX, TPCCScale, tpcc_spec
+
+#: an ORDER_LINE key's (w_id, d_id, o_id): the ORDER key it belongs to
+_ORDER_OF_LINE = itemgetter(0, 1, 2)
 
 
 class TPCCWorkload(Workload):
@@ -122,26 +126,38 @@ class TPCCWorkload(Workload):
 
     def _check_order_lines(self) -> List[str]:
         """Every order has exactly o_ol_cnt order lines; delivered orders
-        have delivery dates on all their lines."""
+        have delivery dates on all their lines.  One pass over ORDER_LINE
+        counts each order's live lines and notes the orders with an
+        undated one, instead of one range scan per order; only a delivered
+        order with undated lines is scanned, to name them."""
         problems = []
-        order_table = self.db.table(schema.ORDER)
         line_table = self.db.table(schema.ORDER_LINE)
+        n_lines: dict = {}
+        undated_orders = set()
+        for record in line_table.records():
+            value = record.value
+            if value is not None:
+                order_key = _ORDER_OF_LINE(record.key)
+                n_lines[order_key] = n_lines.get(order_key, 0) + 1
+                if value["ol_delivery_d"] is None:
+                    undated_orders.add(order_key)
+        order_table = self.db.table(schema.ORDER)
         for key in order_table.keys():
             order = order_table.committed_value(key)
-            w_id, d_id, o_id = key
-            lines = list(line_table.scan_committed(
-                (w_id, d_id, o_id, 0), (w_id, d_id, o_id + 1, 0)))
-            if len(lines) != order["o_ol_cnt"]:
+            count = n_lines.get(key, 0)
+            if count != order["o_ol_cnt"]:
                 problems.append(
-                    f"order {key}: {len(lines)} lines, o_ol_cnt="
+                    f"order {key}: {count} lines, o_ol_cnt="
                     f"{order['o_ol_cnt']}")
                 continue
-            if order["o_carrier_id"] is not None:
-                undated = [k for k, record in lines
+            if key in undated_orders and order["o_carrier_id"] is not None:
+                w_id, d_id, o_id = key
+                lines = line_table.scan_committed((w_id, d_id, o_id, 0),
+                                                  (w_id, d_id, o_id + 1, 0))
+                undated = [line for line, record in lines
                            if record.value["ol_delivery_d"] is None]
-                if undated:
-                    problems.append(
-                        f"delivered order {key} has undated lines {undated}")
+                problems.append(
+                    f"delivered order {key} has undated lines {undated}")
         return problems
 
 

@@ -1,6 +1,9 @@
 """Transaction-context lifecycle: ``validation.finish`` releases the
 context as its last step, so a terminated attempt pins nothing and dead
-attempts are freed by reference counting alone.
+attempts are freed by reference counting alone.  ``Scheduler.release``
+does the same for the whole run: once its result is dropped, a finished
+run — database and all — is freed without the cyclic collector, which
+``run_protocol`` keeps paused from build to release.
 """
 
 import gc
@@ -11,13 +14,18 @@ import weakref
 import pytest
 
 from repro.analysis import HistoryRecorder
-from repro.bench.runner import run_named
-from repro.cc import occ, two_pl
-from repro.config import SimConfig
+from repro.bench.runner import run_named, run_protocol
+from repro.cc import make_cc, occ, two_pl
+from repro.config import (ClusterConfig, DurabilityConfig, FrontendConfig,
+                          SimConfig)
 from repro.core import executor, validation
 from repro.core.backoff import BackoffPolicy
 from repro.core.context import ReadEntry, TxnContext, TxnStatus, WriteEntry
 from repro.core.policy import CCPolicy
+from repro.errors import LivelockError
+from repro.faults.plan import FaultPlan, ScriptedFault
+from repro.obs import MemorySink, MetricsRegistry, TimeAccountant
+from repro.obs.timeline import TimelineSampler
 from repro.sim.scheduler import Scheduler
 from repro.sim.worker import Worker
 from repro.storage.access_list import AccessEntry, AccessKind
@@ -25,8 +33,9 @@ from repro.storage.record import Record
 from repro.training.ea import random_policy
 from repro.workloads.tpcc import make_tpcc_factory, tpcc_spec
 
+from tests import helpers
 from tests.helpers import CounterWorkload, counter_spec
-from tests.hotpath.common import run_cell
+from tests.hotpath.common import OrderedCounterWorkload, run_cell
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                         "benchmarks", "harness", "fixtures")
@@ -295,3 +304,198 @@ def test_reader_of_released_writer_that_committed_the_same_version():
                                                    (2, 0))
     assert not reader.doomed
     assert validation.read_entry_doomed(reader, entry) is None
+
+
+# --------------------------------------------------------------------- #
+# (v) a finished run is freed by reference counting
+
+
+def track_databases(monkeypatch):
+    """Weak references to every counter database built from now on (the
+    production class has ``__slots__`` without ``__weakref__``)."""
+    refs = []
+
+    class Tracked(helpers.Database):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(helpers, "Database", Tracked)
+    return refs
+
+
+RUN_DURATION = 4_000.0
+
+
+def _mode(name):
+    """(config overrides, fault events, observability kwargs) of a mode."""
+    if name == "open_loop_shedding":
+        # far more than the workers commit, into 4-slot queues: every
+        # protocol sheds
+        return dict(frontend=FrontendConfig(
+            arrival_rate=400_000.0, queue_cap=4, deadline=100.0,
+            retry_budget=1)), [], {}
+    if name == "durable":
+        return dict(durability=DurabilityConfig(
+            checkpoint_interval=1_500.0)), [], {}
+    if name == "cluster2_shard_crash":
+        return dict(durability=DurabilityConfig(checkpoint_interval=1_500.0),
+                    cluster=ClusterConfig(n_shards=2,
+                                          cross_shard_ratio=0.5)), [
+            ScriptedFault(time=2_100.0, kind="shard_crash", worker=1,
+                          downtime=500.0)], {}
+    if name == "scripted_faults":
+        return {}, [
+            ScriptedFault(time=1_000.0, kind="abort", worker=2),
+            ScriptedFault(time=1_500.0, kind="stall", worker=3, ticks=80.0),
+            ScriptedFault(time=2_000.0, kind="crash", worker=1,
+                          downtime=150.0),
+            ScriptedFault(time=2_500.0, kind="doom", worker=0)], {}
+    if name == "all_obs":
+        return {}, [], dict(
+            trace_sink=MemorySink(), metrics=MetricsRegistry(),
+            timeline=TimelineSampler(window=500.0, n_workers=8),
+            accountant=TimeAccountant(8, RUN_DURATION))
+    assert name == "closed"
+    return {}, [], {}
+
+
+def _run_for_release(cc_name, mode):
+    overrides, events, obs = _mode(mode)
+    n_keys, n_accesses = (16, 2) if "cluster" in overrides else (4, 3)
+    config = SimConfig(n_workers=8, duration=RUN_DURATION, warmup=500.0,
+                       seed=11, **overrides)
+    policy = random_policy(counter_spec(n_accesses), random.Random(5)) \
+        if cc_name == "polyjuice" else None
+    return run_named(
+        lambda: OrderedCounterWorkload(n_keys=n_keys, n_accesses=n_accesses),
+        cc_name, config, policy=policy,
+        fault_plan=FaultPlan(events=events) if events else None, **obs)
+
+
+def assert_freed_by_refcount(db_refs):
+    assert not gc.isenabled()  # the caller's switch is the caller's
+    assert db_refs and all(ref() is None for ref in db_refs), db_refs
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("mode", [
+    "closed", "open_loop_shedding", "durable", "cluster2_shard_crash",
+    "scripted_faults", "all_obs"])
+@pytest.mark.parametrize("cc_name", ["silo", "2pl", "ic3", "polyjuice"])
+def test_a_dropped_result_frees_the_run(cc_name, mode, monkeypatch,
+                                        collector_off):
+    db_refs = track_databases(monkeypatch)
+    gc.collect()
+    result = _run_for_release(cc_name, mode)
+    assert result.invariant_violations == []
+    assert result.stats.total_commits > 0
+    if mode == "open_loop_shedding":
+        assert result.stats.total_shed > 0
+    if mode == "durable":
+        # the result keeps what it returns, the database among it
+        assert result.durability.db is db_refs[0]()
+    del result
+    assert_freed_by_refcount(db_refs)
+
+
+def test_a_probed_run_frees_its_probes_and_winner(monkeypatch,
+                                                  collector_off):
+    db_refs = track_databases(monkeypatch)
+    gc.collect()
+    result = run_named(lambda: CounterWorkload(n_keys=4, n_accesses=3),
+                       "cormcc", SimConfig(n_workers=4, duration=3_000.0,
+                                           seed=7))
+    assert result.detail.startswith("picked ")
+    del result
+    assert len(db_refs) == 3  # one per probe, one for the winner
+    assert_freed_by_refcount(db_refs)
+
+
+def test_an_escaping_livelock_error_frees_the_run(monkeypatch,
+                                                  collector_off):
+    db_refs = track_databases(monkeypatch)
+    gc.collect()
+    config = SimConfig(n_workers=4, duration=4_000.0, seed=13,
+                       watchdog_window=5.0, watchdog_action="raise")
+    with pytest.raises(LivelockError):
+        run_named(lambda: CounterWorkload(n_keys=2, n_accesses=2), "2pl",
+                  config)
+    assert_freed_by_refcount(db_refs)
+
+
+def test_back_to_back_runs_do_not_grow_the_heap(collector_off):
+    def one_run():
+        result = run_named(lambda: CounterWorkload(n_keys=8, n_accesses=3),
+                           "ic3", SimConfig(n_workers=8, duration=1_000.0,
+                                            seed=3))
+        assert result.stats.total_commits > 0
+
+    one_run()  # first-run caches (compiled code, interned names)
+    gc.collect()
+    baseline = len(gc.get_objects())
+    for _ in range(5):
+        one_run()
+    assert len(gc.get_objects()) <= baseline
+
+
+class _BuildMarks(CounterWorkload):
+    """Counts as "inside the run" from its build to the scheduler's
+    release, for :func:`test_the_collector_sleeps_from_build_to_release`."""
+
+    def __init__(self, inside):
+        super().__init__(n_keys=8, n_accesses=3)
+        self.inside = inside
+
+    def build_database(self):
+        self.inside.append(True)
+        return super().build_database()
+
+
+@pytest.mark.parametrize("caller", ["enabled", "frozen"])
+def test_the_collector_sleeps_from_build_to_release(caller, monkeypatch):
+    """No collector pass from build to release; afterwards the collector
+    is on again with the caller's frozen set kept, and what the run left
+    alive sits in the oldest generation, so the next young pass does not
+    walk it."""
+    passes, inside, kept = [], [], []
+
+    def on_collection(phase, info):
+        if phase == "start" and inside:
+            passes.append(info["generation"])
+
+    def factory():
+        kept.append(_BuildMarks(inside))
+        return kept[-1]
+
+    real_release = Scheduler.release
+
+    def release(scheduler):
+        real_release(scheduler)
+        inside.clear()
+
+    monkeypatch.setattr(Scheduler, "release", release)
+    gc.collect()
+    threshold = gc.get_threshold()
+    if caller == "frozen":
+        gc.freeze()
+    frozen = gc.get_freeze_count()
+    # a low young-generation threshold: set-up alone would trigger passes
+    # if the collector were on
+    gc.set_threshold(10, *threshold[1:])
+    gc.callbacks.append(on_collection)
+    try:
+        run_protocol(factory, make_cc("silo"),
+                     SimConfig(n_workers=4, duration=1_000.0, seed=3))
+    finally:
+        gc.callbacks.remove(on_collection)
+        gc.set_threshold(*threshold)
+        state = (gc.isenabled(), gc.get_freeze_count())
+        gc.unfreeze()
+    assert not inside and passes == []
+    assert state == (True, frozen)
+    if caller == "enabled":
+        db = kept[0].db
+        assert any(obj is db for obj in gc.get_objects(generation=2))

@@ -76,6 +76,71 @@ class TestLoader:
         assert workload.check_invariants() == []
 
 
+def order_line_problems_by_range_scan(workload):
+    """The order-line invariant as one ORDER_LINE range scan per order:
+    the reference the one-walk check must reproduce string for string."""
+    problems = []
+    order_table = workload.db.table(schema.ORDER)
+    line_table = workload.db.table(schema.ORDER_LINE)
+    for key in order_table.keys():
+        order = order_table.committed_value(key)
+        w_id, d_id, o_id = key
+        lines = list(line_table.scan_committed(
+            (w_id, d_id, o_id, 0), (w_id, d_id, o_id + 1, 0)))
+        if len(lines) != order["o_ol_cnt"]:
+            problems.append(f"order {key}: {len(lines)} lines, o_ol_cnt="
+                            f"{order['o_ol_cnt']}")
+            continue
+        if order["o_carrier_id"] is not None:
+            undated = [k for k, record in lines
+                       if record.value["ol_delivery_d"] is None]
+            if undated:
+                problems.append(
+                    f"delivered order {key} has undated lines {undated}")
+    return problems
+
+
+class TestOrderLineInvariant:
+    @pytest.fixture
+    def workload(self, small_scale):
+        workload = TPCCWorkload(scale=small_scale, seed=1)
+        workload.build_database()
+        return workload
+
+    def test_four_corruptions_give_the_range_scans_problems(self, workload):
+        db = workload.db
+        orders = db.table(schema.ORDER)
+        lines = db.table(schema.ORDER_LINE)
+        delivered = [key for key in orders.keys()
+                     if orders.committed_value(key)["o_carrier_id"]
+                     is not None]
+        missing, extra, recount, undated = (delivered[-1], (1, 2, 4),
+                                            (2, 1, 1), delivered[0])
+        lines_before = orders.committed_value(missing)["o_ol_cnt"]
+        recount_lines = orders.committed_value(recount)["o_ol_cnt"]
+        lines.get_record(missing + (2,)).value = None
+        count = orders.committed_value(extra)["o_ol_cnt"]
+        db.load(schema.ORDER_LINE, extra + (count + 1,),
+                dict(lines.committed_value(extra + (1,))))
+        orders.get_record(recount).value = dict(
+            orders.committed_value(recount), o_ol_cnt=99)
+        line = lines.get_record(undated + (3,))
+        line.value = dict(line.value, ol_delivery_d=None)
+        problems = workload._check_order_lines()
+        assert problems == order_line_problems_by_range_scan(workload)
+        assert sorted(problems) == sorted([
+            f"order {missing}: {lines_before - 1} lines, "
+            f"o_ol_cnt={lines_before}",
+            f"order {extra}: {count + 1} lines, o_ol_cnt={count}",
+            f"order {recount}: {recount_lines} lines, o_ol_cnt=99",
+            f"delivered order {undated} has undated lines "
+            f"[{undated + (3,)}]"])
+
+    def test_a_clean_database_has_no_problems(self, workload):
+        assert workload._check_order_lines() == [] == \
+            order_line_problems_by_range_scan(workload)
+
+
 def snapshot_digest(db):
     """sha256 of a canonical JSON serialisation of ``db.snapshot()``:
     tables by name, rows by key, each row ``[key, vid, value]`` with the
