@@ -30,33 +30,31 @@ Quickstart::
     print(result.throughput)
 """
 
-from .config import CostModel, DurabilityConfig, SimConfig, TICKS_PER_SECOND
-from .errors import ReproError, TransactionAborted
-from .bench.runner import ExperimentResult, run_named, run_protocol
-from .cc import make_cc
-from .core import BackoffPolicy, CCPolicy, PolicyExecutor, WorkloadSpec
-from .obs import MemorySink, MetricsRegistry, TimeAccountant, TraceEvent
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BackoffPolicy",
-    "CCPolicy",
-    "CostModel",
-    "DurabilityConfig",
-    "ExperimentResult",
-    "MemorySink",
-    "MetricsRegistry",
-    "PolicyExecutor",
-    "ReproError",
-    "SimConfig",
-    "TimeAccountant",
-    "TraceEvent",
-    "TICKS_PER_SECOND",
-    "TransactionAborted",
-    "WorkloadSpec",
-    "make_cc",
-    "run_named",
-    "run_protocol",
-    "__version__",
-]
+_EXPORTS = {
+    "BackoffPolicy": ".core.backoff",
+    "CCPolicy": ".core.policy",
+    "CostModel": ".config",
+    "DurabilityConfig": ".config",
+    "ExperimentResult": ".bench.runner",
+    "MemorySink": ".obs.tracing",
+    "MetricsRegistry": ".obs.metrics",
+    "PolicyExecutor": ".core.executor",
+    "ReproError": ".errors",
+    "SimConfig": ".config",
+    "TimeAccountant": ".obs.profile",
+    "TraceEvent": ".obs.tracing",
+    "TICKS_PER_SECOND": ".config",
+    "TransactionAborted": ".errors",
+    "WorkloadSpec": ".core.spec",
+    "make_cc": ".cc.registry",
+    "run_named": ".bench.runner",
+    "run_protocol": ".bench.runner",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

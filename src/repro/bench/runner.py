@@ -8,19 +8,12 @@ switch) and history recording (the serializability oracle).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import (Callable, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
-from ..cluster import (ClusterCC, ClusterDurability, ClusterRuntime,
-                       partitioner_for)
 from ..config import SimConfig
-from ..durability.manager import DurabilityManager
 from ..errors import ConfigError
-from ..faults.injector import FAULT_RNG_SALT, FaultInjector
-from ..faults.plan import FaultPlan
 from ..frontend import Frontend
-from ..obs.metrics import MetricsRegistry
-from ..obs.profile import TimeAccountant
-from ..obs.tracing import TraceSink
 from ..rng import spawn_rng
 from ..sim.collector import paused
 from ..sim.scheduler import Scheduler
@@ -31,6 +24,16 @@ from ..core.policy import CCPolicy
 from ..core.validation import storage_residue
 from ..cc.registry import make_cc
 from ..workloads.base import Workload
+
+if TYPE_CHECKING:
+    # the opt-in layers are imported where run_protocol installs them
+    from ..cluster.runtime import ClusterRuntime
+    from ..durability.manager import DurabilityManager
+    from ..faults.injector import FaultInjector
+    from ..faults.plan import FaultPlan
+    from ..obs.metrics import MetricsRegistry
+    from ..obs.profile import TimeAccountant
+    from ..obs.tracing import TraceSink
 
 WorkloadFactory = Callable[[], Workload]
 CCFactory = Callable[[], object]
@@ -103,6 +106,9 @@ def run_protocol(workload_factory: WorkloadFactory, cc, config: SimConfig,
         db = workload.build_database()
         runtime = None
         if config.cluster is not None:
+            from ..cluster.cc import ClusterCC
+            from ..cluster.runtime import ClusterRuntime
+            from ..cluster.workloads import partitioner_for
             runtime = ClusterRuntime(
                 config, partitioner_for(workload, config.cluster.n_shards))
             # shard the tables before CC setup (the executor caches the
@@ -117,6 +123,7 @@ def run_protocol(workload_factory: WorkloadFactory, cc, config: SimConfig,
                          collect_latency=config.collect_latency)
         injector = None
         if fault_plan is not None:
+            from ..faults.injector import FAULT_RNG_SALT, FaultInjector
             injector = FaultInjector(fault_plan,
                                      spawn_rng(config.seed, FAULT_RNG_SALT))
         scheduler = Scheduler(config, trace=trace_sink,
@@ -133,9 +140,11 @@ def run_protocol(workload_factory: WorkloadFactory, cc, config: SimConfig,
             manager = None
             if config.durability is not None:
                 if runtime is not None:
+                    from ..cluster.durability import ClusterDurability
                     manager = ClusterDurability(config, db, workload, cc,
                                                 stats, runtime)
                 else:
+                    from ..durability.manager import DurabilityManager
                     manager = DurabilityManager(config, db, workload, cc,
                                                 stats)
                 scheduler.durability = manager

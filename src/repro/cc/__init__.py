@@ -13,26 +13,24 @@
 * :func:`~repro.cc.registry.make_cc` — name → instance factory.
 """
 
-from .cormcc import CormCC
-from .ic3 import IC3, ic3_policy, ic3_wait_table
-from .occ import SiloOCC
-from .registry import available_cc_names, make_cc
-from .seeds import occ_policy, seed_policies, two_pl_star_policy
-from .tebaldi import Tebaldi, tebaldi_policy
-from .two_pl import TwoPL
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CormCC",
-    "IC3",
-    "SiloOCC",
-    "Tebaldi",
-    "TwoPL",
-    "available_cc_names",
-    "ic3_policy",
-    "ic3_wait_table",
-    "make_cc",
-    "occ_policy",
-    "seed_policies",
-    "tebaldi_policy",
-    "two_pl_star_policy",
-]
+_EXPORTS = {
+    "CormCC": ".cormcc",
+    "IC3": ".ic3",
+    "SiloOCC": ".occ",
+    "Tebaldi": ".tebaldi",
+    "TwoPL": ".two_pl",
+    "available_cc_names": ".registry",
+    "ic3_policy": ".ic3",
+    "ic3_wait_table": ".ic3",
+    "make_cc": ".registry",
+    "occ_policy": ".seeds",
+    "seed_policies": ".seeds",
+    "tebaldi_policy": ".tebaldi",
+    "two_pl_star_policy": ".seeds",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -2,25 +2,29 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Dict, Optional, Sequence
 
 from ..errors import ConfigError
 from ..core.backoff import BackoffPolicy
 from ..core.executor import PolicyExecutor
 from ..core.policy import CCPolicy
-from .cormcc import CormCC
-from .ic3 import IC3
-from .occ import SiloOCC
-from .tebaldi import Tebaldi
-from .two_pl import TwoPL
+
+
+def _baseline(name: str):
+    # through the package's lazy table: a baseline's module is imported
+    # the first time a run asks for that baseline
+    return getattr(sys.modules[__package__], name)
+
 
 _FACTORIES: Dict[str, Callable[..., object]] = {
-    "silo": lambda **kw: SiloOCC(),
-    "occ": lambda **kw: SiloOCC(),
-    "2pl": lambda **kw: TwoPL(assume_ordered=kw.get("assume_ordered", True)),
-    "ic3": lambda **kw: IC3(),
-    "tebaldi": lambda **kw: Tebaldi(groups=kw.get("groups")),
-    "cormcc": lambda **kw: CormCC(),
+    "silo": lambda **kw: _baseline("SiloOCC")(),
+    "occ": lambda **kw: _baseline("SiloOCC")(),
+    "2pl": lambda **kw: _baseline("TwoPL")(
+        assume_ordered=kw.get("assume_ordered", True)),
+    "ic3": lambda **kw: _baseline("IC3")(),
+    "tebaldi": lambda **kw: _baseline("Tebaldi")(groups=kw.get("groups")),
+    "cormcc": lambda **kw: _baseline("CormCC")(),
 }
 
 

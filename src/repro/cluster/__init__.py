@@ -13,49 +13,35 @@ layer: no runtime, no 2PC layer, and the durability core and the
 frontend with their single-node shard count of one.
 """
 
-from ..frontend import Frontend
-from .cc import ClusterCC
-from .durability import (ClusterDurability, DecisionMarker, DecisionRecord,
-                         PrepareRecord, SHARD_RESTART_RNG_SALT,
-                         ShardCrashReport)
-from .network import NET_RNG_SALT, Network
-from .partition import (HashPartitioner, ModuloPartitioner, Partitioner,
-                        RangePartitioner)
-from .runtime import ClusterRuntime, ShardedTable
-from .workloads import (ClusterMicro, ClusterTPCC, ClusterTPCE,
-                        TPCEPartitioner, make_cluster_micro_factory,
-                        make_cluster_tpcc_factory, make_cluster_tpce_factory,
-                        partitioner_for)
+from .._lazy import lazy_exports
 
+_EXPORTS = {
+    "ClusterCC": ".cc",
+    "ClusterDurability": ".durability",
+    "ClusterMicro": ".workloads",
+    "ClusterRuntime": ".runtime",
+    "ClusterTPCC": ".workloads",
+    "ClusterTPCE": ".tpce",
+    "DecisionMarker": ".durability",
+    "DecisionRecord": ".durability",
+    "HashPartitioner": ".partition",
+    "ModuloPartitioner": ".partition",
+    "NET_RNG_SALT": ".network",
+    "Network": ".network",
+    "Partitioner": ".partition",
+    "PrepareRecord": ".durability",
+    "RangePartitioner": ".partition",
+    "SHARD_RESTART_RNG_SALT": ".durability",
+    "ShardCrashReport": ".durability",
+    "ShardedFrontend": "..frontend.frontend",
+    "ShardedTable": ".runtime",
+    "TPCEPartitioner": ".tpce",
+    "partitioner_for": ".workloads",
+    "make_cluster_micro_factory": ".workloads",
+    "make_cluster_tpcc_factory": ".workloads",
+    "make_cluster_tpce_factory": ".tpce",
+}
 
-class ShardedFrontend(Frontend):
-    # never instantiated: only benchmarks/harness/child.py's import needs it
-    pass
+__all__ = list(_EXPORTS)
 
-
-__all__ = [
-    "ClusterCC",
-    "ClusterDurability",
-    "ClusterMicro",
-    "ClusterRuntime",
-    "ClusterTPCC",
-    "ClusterTPCE",
-    "DecisionMarker",
-    "DecisionRecord",
-    "HashPartitioner",
-    "ModuloPartitioner",
-    "NET_RNG_SALT",
-    "Network",
-    "Partitioner",
-    "PrepareRecord",
-    "RangePartitioner",
-    "SHARD_RESTART_RNG_SALT",
-    "ShardCrashReport",
-    "ShardedFrontend",
-    "ShardedTable",
-    "TPCEPartitioner",
-    "partitioner_for",
-    "make_cluster_micro_factory",
-    "make_cluster_tpcc_factory",
-    "make_cluster_tpce_factory",
-]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,21 +6,21 @@ never touches this package and runs are bit-identical to a build without
 it.  See DESIGN.md "Durability & recovery" for the model.
 """
 
-from .log import LogRecord, WriteImage, apply_record
-from .manager import (Checkpoint, DurabilityManager, RecoveryReport,
-                      RESTART_RNG_SALT)
-from .oracle import filter_history, verify_recovery
-from .view import DurableView
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Checkpoint",
-    "DurabilityManager",
-    "DurableView",
-    "LogRecord",
-    "RESTART_RNG_SALT",
-    "RecoveryReport",
-    "WriteImage",
-    "apply_record",
-    "filter_history",
-    "verify_recovery",
-]
+_EXPORTS = {
+    "Checkpoint": ".manager",
+    "DurabilityManager": ".manager",
+    "DurableView": ".view",
+    "LogRecord": ".log",
+    "RESTART_RNG_SALT": ".manager",
+    "RecoveryReport": ".manager",
+    "WriteImage": ".log",
+    "apply_record": ".log",
+    "filter_history": ".oracle",
+    "verify_recovery": ".oracle",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -71,11 +71,10 @@ from ..obs.tracing import EventKind, TraceEvent
 from ..rng import spawn_rng
 from ..storage.database import Database, Snapshot
 from .log import LogRecord, WriteImage, apply_record, lost_txns
-from .oracle import verify_recovery
-from .view import DurableView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import random
+    from .view import DurableView
     from ..core.context import TxnContext
     from ..sim.scheduler import Scheduler
     from ..sim.stats import RunStats
@@ -258,6 +257,8 @@ class DurabilityManager:
         self._worker_factory = worker_factory
         faults = scheduler.faults
         if faults is not None and faults.plan.scripts_crash:
+            # the recovery oracle is installed with the crash it audits
+            from .view import DurableView
             image = self.db.snapshot()
             self.checkpoints.append(Checkpoint(scheduler.now, self.seqno,
                                                image))
@@ -584,6 +585,7 @@ class DurabilityManager:
                 replayed += 1
         recovered_snapshot = new_db.snapshot()
         # -- durability oracle ------------------------------------------ #
+        from .oracle import verify_recovery
         violations = verify_recovery(
             self.durable_view, recovered_snapshot, self.max_acked_seqno,
             durable_seqno, self._durable_vids)

@@ -9,22 +9,23 @@ plans across protocols and checks the simulator's invariants (time
 accounting, serializability, lock-table drain) after every perturbed run.
 """
 
-from .plan import (EVENT_KINDS, FAULT_PLAN_FORMAT_VERSION, RATE_KINDS,
-                   FaultPlan, ScriptedFault)
-from .injector import FAULT_RNG_SALT, FaultInjector, corrupt_policy_cell
-from .chaos import ChaosResult, default_plans, run_chaos, run_chaos_cell
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EVENT_KINDS",
-    "FAULT_PLAN_FORMAT_VERSION",
-    "FAULT_RNG_SALT",
-    "RATE_KINDS",
-    "ChaosResult",
-    "FaultInjector",
-    "FaultPlan",
-    "ScriptedFault",
-    "corrupt_policy_cell",
-    "default_plans",
-    "run_chaos",
-    "run_chaos_cell",
-]
+_EXPORTS = {
+    "EVENT_KINDS": ".plan",
+    "FAULT_PLAN_FORMAT_VERSION": ".plan",
+    "FAULT_RNG_SALT": ".injector",
+    "RATE_KINDS": ".plan",
+    "ChaosResult": ".chaos",
+    "FaultInjector": ".injector",
+    "FaultPlan": ".plan",
+    "ScriptedFault": ".plan",
+    "corrupt_policy_cell": ".injector",
+    "default_plans": ".chaos",
+    "run_chaos": ".chaos",
+    "run_chaos_cell": ".chaos",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -340,3 +340,8 @@ class Frontend:
                 f"overload: {self.inflight} invocations still marked "
                 "in flight after teardown")
         return violations
+
+
+class ShardedFrontend(Frontend):
+    """``repro.cluster.ShardedFrontend``: never instantiated, only
+    benchmarks/harness/child.py's import needs the name."""

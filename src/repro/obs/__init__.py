@@ -29,58 +29,47 @@ The run-insight layer builds on those pillars:
   report and the CI-facing ``--compare`` regression diff.
 """
 
-from .tracing import (EventKind, JsonlStreamSink, MemorySink, NullSink,
-                      NULL_SINK, TRACE_SCHEMA, TRACE_SCHEMA_VERSION,
-                      TraceEvent, TraceSink, chrome_trace_events,
-                      export_chrome_trace, iter_jsonl, read_jsonl,
-                      write_jsonl)
-from .metrics import (Counter, Gauge, Histogram, METRICS_SCHEMA,
-                      METRICS_SCHEMA_VERSION, MetricsRegistry,
-                      load_metrics_json)
-from .profile import TimeAccountant, check_accounting, format_profile_table
-from .timeline import (TIMELINE_SCHEMA, TIMELINE_SCHEMA_VERSION,
-                       TimelineSampler, default_timeline_window,
-                       load_timeline_json)
-from .insight import (conflict_attribution, latency_critical_path,
-                      policy_audit)
-from .report import (build_report, compare_metrics, render_compare,
-                     render_markdown)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "check_accounting",
-    "EventKind",
-    "Gauge",
-    "Histogram",
-    "JsonlStreamSink",
-    "MemorySink",
-    "METRICS_SCHEMA",
-    "METRICS_SCHEMA_VERSION",
-    "MetricsRegistry",
-    "NullSink",
-    "NULL_SINK",
-    "TIMELINE_SCHEMA",
-    "TIMELINE_SCHEMA_VERSION",
-    "TRACE_SCHEMA",
-    "TRACE_SCHEMA_VERSION",
-    "TimeAccountant",
-    "TimelineSampler",
-    "TraceEvent",
-    "TraceSink",
-    "build_report",
-    "chrome_trace_events",
-    "compare_metrics",
-    "conflict_attribution",
-    "default_timeline_window",
-    "export_chrome_trace",
-    "format_profile_table",
-    "iter_jsonl",
-    "latency_critical_path",
-    "load_metrics_json",
-    "load_timeline_json",
-    "policy_audit",
-    "read_jsonl",
-    "render_compare",
-    "render_markdown",
-    "write_jsonl",
-]
+_EXPORTS = {
+    "Counter": ".metrics",
+    "check_accounting": ".profile",
+    "EventKind": ".tracing",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "JsonlStreamSink": ".tracing",
+    "MemorySink": ".tracing",
+    "METRICS_SCHEMA": ".metrics",
+    "METRICS_SCHEMA_VERSION": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "NullSink": ".tracing",
+    "NULL_SINK": ".tracing",
+    "TIMELINE_SCHEMA": ".timeline",
+    "TIMELINE_SCHEMA_VERSION": ".timeline",
+    "TRACE_SCHEMA": ".tracing",
+    "TRACE_SCHEMA_VERSION": ".tracing",
+    "TimeAccountant": ".profile",
+    "TimelineSampler": ".timeline",
+    "TraceEvent": ".tracing",
+    "TraceSink": ".tracing",
+    "build_report": ".report",
+    "chrome_trace_events": ".tracing",
+    "compare_metrics": ".report",
+    "conflict_attribution": ".insight",
+    "default_timeline_window": ".timeline",
+    "export_chrome_trace": ".tracing",
+    "format_profile_table": ".profile",
+    "iter_jsonl": ".tracing",
+    "latency_critical_path": ".insight",
+    "load_metrics_json": ".metrics",
+    "load_timeline_json": ".timeline",
+    "policy_audit": ".insight",
+    "read_jsonl": ".tracing",
+    "render_compare": ".report",
+    "render_markdown": ".report",
+    "write_jsonl": ".tracing",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -55,16 +55,19 @@ import heapq
 import itertools
 from collections import deque
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Set, Tuple  # noqa: F401
+from typing import (Callable, Dict, List, Optional, Set,  # noqa: F401
+                    Tuple, TYPE_CHECKING)
 
 from ..config import SimConfig
 from ..core.context import TxnStatus
 from ..errors import (AbortReason, LivelockError, SchedulerError,
                       TransactionAborted)
-from ..obs.profile import TimeAccountant
 from ..obs.tracing import EventKind, NULL_SINK, TraceEvent, TraceSink
 from .events import Cost, CostKind, WaitFor
 from .worker import Worker
+
+if TYPE_CHECKING:
+    from ..obs.profile import TimeAccountant
 
 _KIND_WORKER = 0
 _KIND_CALLBACK = 1

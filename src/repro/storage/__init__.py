@@ -12,22 +12,22 @@ Public surface:
   2PL baseline.
 """
 
-from .access_list import AccessEntry, AccessKind, AccessList
-from .database import Database, detach_row
-from .locks import LockMode, LockRequestOutcome, LockTable
-from .record import Record, VersionIdAllocator
-from .table import Table
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AccessEntry",
-    "AccessKind",
-    "AccessList",
-    "Database",
-    "LockMode",
-    "LockRequestOutcome",
-    "LockTable",
-    "Record",
-    "Table",
-    "VersionIdAllocator",
-    "detach_row",
-]
+_EXPORTS = {
+    "AccessEntry": ".access_list",
+    "AccessKind": ".access_list",
+    "AccessList": ".access_list",
+    "Database": ".database",
+    "LockMode": ".locks",
+    "LockRequestOutcome": ".locks",
+    "LockTable": ".locks",
+    "Record": ".record",
+    "Table": ".table",
+    "VersionIdAllocator": ".record",
+    "detach_row": ".database",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -8,37 +8,29 @@ the paper's reward.  ``EvolutionaryTrainer`` is the paper's main method
 against in Fig 5.
 
 ``PolicyGradientTrainer`` and ``RLConfig`` are the only users of numpy,
-which is not a runtime dependency: they are resolved on first attribute
-access (PEP 562), so importing this package — or running the EA trainer —
-never imports numpy.
+which is not a runtime dependency.  Every name here is resolved from its
+submodule on first access (PEP 562), so importing this package — or
+running the EA trainer — never imports numpy.
 """
 
-from .checkpoint import (CHECKPOINT_FORMAT_VERSION, has_checkpoint,
-                         load_checkpoint, save_checkpoint)
-from .ea import (EAConfig, EvolutionaryTrainer, Individual, TrainingResult,
-                 evaluate_pending)
-from .fitness import FitnessEvaluator
-from .parallel import ParallelEvaluationEngine
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHECKPOINT_FORMAT_VERSION",
-    "EAConfig",
-    "EvolutionaryTrainer",
-    "FitnessEvaluator",
-    "Individual",
-    "ParallelEvaluationEngine",
-    "PolicyGradientTrainer",
-    "RLConfig",
-    "TrainingResult",
-    "evaluate_pending",
-    "has_checkpoint",
-    "load_checkpoint",
-    "save_checkpoint",
-]
+_EXPORTS = {
+    "CHECKPOINT_FORMAT_VERSION": ".checkpoint",
+    "EAConfig": ".ea",
+    "EvolutionaryTrainer": ".ea",
+    "FitnessEvaluator": ".fitness",
+    "Individual": ".ea",
+    "ParallelEvaluationEngine": ".parallel",
+    "PolicyGradientTrainer": ".rl",
+    "RLConfig": ".rl",
+    "TrainingResult": ".ea",
+    "evaluate_pending": ".ea",
+    "has_checkpoint": ".checkpoint",
+    "load_checkpoint": ".checkpoint",
+    "save_checkpoint": ".checkpoint",
+}
 
+__all__ = list(_EXPORTS)
 
-def __getattr__(name):
-    if name in ("PolicyGradientTrainer", "RLConfig"):
-        from . import rl
-        return getattr(rl, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 
 from ..errors import PolicyError, TrainingError
-from ..obs.metrics import MetricsRegistry
 from ..core import actions
 from ..core.backoff import ALPHA_CHOICES, BackoffPolicy
 from ..core.policy import CCPolicy
@@ -32,6 +31,9 @@ from .checkpoint import (CheckpointError, decode_py_rng,
                          load_checkpoint, restore_evaluator_state,
                          save_checkpoint)
 from .parallel import ParallelEvaluationEngine
+
+if TYPE_CHECKING:
+    from ..obs.metrics import MetricsRegistry
 
 
 def evaluate_pending(evaluator: ParallelEvaluationEngine,

@@ -45,16 +45,17 @@ timeout enforcement).
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from collections import deque
-from multiprocessing import connection as mp_connection
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 from ..errors import ReproError, TrainingError
-from ..obs.metrics import MetricsRegistry
 from ..rng import EVAL_RNG_SALT, derive_seed
 from .fitness import FitnessEvaluator
+
+if TYPE_CHECKING:
+    from ..obs.metrics import MetricsRegistry
 
 
 def _listify(obj):
@@ -181,9 +182,13 @@ class ParallelEvaluationEngine:
         self.timeouts = 0
         self.fallbacks_used = 0
         #: ``fork`` keeps closures (workload factories) usable in the child
-        #: without pickling; without it evaluations run inline
-        self._ctx = multiprocessing.get_context("fork") \
-            if "fork" in multiprocessing.get_all_start_methods() else None
+        #: without pickling; without it evaluations run inline.  Only a
+        #: pool imports multiprocessing: jobs=1 without a timeout is inline
+        self._ctx = None
+        if jobs > 1 or timeout is not None:
+            import multiprocessing
+            if "fork" in multiprocessing.get_all_start_methods():
+                self._ctx = multiprocessing.get_context("fork")
 
     def cache_state(self) -> list:
         """JSON-safe snapshot of the content cache.
@@ -352,7 +357,8 @@ class ParallelEvaluationEngine:
                 remaining = max(0.0, attempt.deadline - now)
                 wait_for = remaining if wait_for is None \
                     else min(wait_for, remaining)
-        ready_conns = mp_connection.wait(
+        from multiprocessing import connection
+        ready_conns = connection.wait(
             [attempt.conn for attempt in running], timeout=wait_for)
         ready = [attempt for attempt in running
                  if attempt.conn in ready_conns]

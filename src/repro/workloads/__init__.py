@@ -6,22 +6,23 @@ Convenience re-exports::
         make_micro_factory
 """
 
-from .base import MixEntry, Workload
-from .micro import MicroWorkload, make_micro_factory
-from .tpcc import TPCCScale, TPCCWorkload, make_tpcc_factory, tpcc_spec
-from .tpce import TPCEScale, TPCEWorkload, make_tpce_factory, tpce_spec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MicroWorkload",
-    "MixEntry",
-    "TPCCScale",
-    "TPCCWorkload",
-    "TPCEScale",
-    "TPCEWorkload",
-    "Workload",
-    "make_micro_factory",
-    "make_tpcc_factory",
-    "make_tpce_factory",
-    "tpcc_spec",
-    "tpce_spec",
-]
+_EXPORTS = {
+    "MicroWorkload": ".micro",
+    "MixEntry": ".base",
+    "TPCCScale": ".tpcc",
+    "TPCCWorkload": ".tpcc",
+    "TPCEScale": ".tpce",
+    "TPCEWorkload": ".tpce",
+    "Workload": ".base",
+    "make_micro_factory": ".micro",
+    "make_tpcc_factory": ".tpcc",
+    "make_tpce_factory": ".tpce",
+    "tpcc_spec": ".tpcc",
+    "tpce_spec": ".tpce",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

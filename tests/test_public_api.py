@@ -59,3 +59,39 @@ def test_every_public_module_has_docstring():
     for name in modules:
         module = importlib.import_module(name)
         assert module.__doc__ and len(module.__doc__) > 40, name
+
+
+def _package_roots():
+    import pkgutil
+    import repro
+    return ["repro"] + sorted(
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.ispkg)
+
+
+@pytest.mark.parametrize("package", _package_roots())
+def test_every_exported_name_resolves(package):
+    """Package roots resolve their names lazily (``repro._lazy``): every
+    name in ``__all__`` must still resolve, show in ``dir()`` and bind
+    under ``import *``; an unknown name is an AttributeError."""
+    module = importlib.import_module(package)
+    names = getattr(module, "__all__", [])
+    listed = dir(module)
+    for name in names:
+        assert getattr(module, name) is not None, name
+        assert name in listed, name
+    namespace = {}
+    exec(f"from {package} import *", namespace)
+    assert set(names) <= set(namespace)
+    assert not hasattr(module, "no_such_name")
+
+
+def test_the_cluster_aliases_still_resolve():
+    from repro.cluster import ShardedFrontend
+    from repro.cluster.workloads import (ClusterTPCE,
+                                         make_cluster_tpce_factory)
+    from repro.frontend import Frontend
+    from repro.workloads.tpce import TPCEWorkload
+    assert issubclass(ShardedFrontend, Frontend)
+    assert issubclass(ClusterTPCE, TPCEWorkload)
+    assert isinstance(make_cluster_tpce_factory(2, 2)(), ClusterTPCE)
