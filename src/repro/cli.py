@@ -199,32 +199,41 @@ def _check_writable(path: str) -> None:
         raise ReproError(f"cannot write {path}: {exc}") from exc
 
 
-def _make_obs(args):
-    """Build the (trace sink, metrics registry) pair requested by the
-    ``--trace`` / ``--metrics`` flags (``None`` when a flag is absent)."""
+def _make_obs(args, config: SimConfig):
+    """Build the (trace sink, metrics registry, timeline sampler) the
+    ``--trace`` / ``--metrics`` / ``--timeline`` flags ask for, after
+    checking each output path (``None`` when a flag is absent — zero
+    overhead for the run)."""
     from .obs import MemorySink, MetricsRegistry
-    sink = None
-    metrics = None
+    sink = metrics = timeline = None
     if getattr(args, "trace_out", None):
         _check_writable(args.trace_out)
         sink = MemorySink()
     if getattr(args, "metrics_out", None):
         _check_writable(args.metrics_out)
         metrics = MetricsRegistry()
-    return sink, metrics
+    if getattr(args, "timeline_out", None):
+        from .obs import TimelineSampler, default_timeline_window
+        _check_writable(args.timeline_out)
+        window = getattr(args, "timeline_window", None)
+        if window is None:
+            window = default_timeline_window(config)
+        timeline = TimelineSampler(window, config.n_workers)
+    return sink, metrics, timeline
 
 
-def _make_timeline(args, config: SimConfig):
-    """Build the windowed run-insight sampler requested by ``--timeline``
-    (``None`` when the flag is absent — zero overhead for the run)."""
-    if not getattr(args, "timeline_out", None):
-        return None
-    from .obs import TimelineSampler, default_timeline_window
-    _check_writable(args.timeline_out)
-    window = getattr(args, "timeline_window", None)
-    if window is None:
-        window = default_timeline_window(config)
-    return TimelineSampler(window, config.n_workers)
+def _write_obs(args, sink=None, metrics=None, timeline=None,
+               cc: Optional[str] = None) -> None:
+    """Write what :func:`_make_obs` built; ``cc`` names ``compare``'s
+    per-protocol trace and timeline files."""
+    def out(path: str) -> str:
+        return path if cc is None else _per_cc_path(path, cc)
+    if sink is not None:
+        _write_trace(out(args.trace_out), sink.events)
+    if metrics is not None:
+        _write_metrics(args.metrics_out, metrics)
+    if timeline is not None:
+        _write_timeline(out(args.timeline_out), timeline)
 
 
 def _write_timeline(path: str, timeline) -> None:
@@ -335,9 +344,8 @@ def cmd_run(args) -> int:
     spec, factory = _workload(args)
     fault_plan = _load_fault_plan(args)
     policy, backoff = _load_policy(args, spec, fault_plan)
-    sink, metrics = _make_obs(args)
     config = _sim_config(args)
-    timeline = _make_timeline(args, config)
+    sink, metrics, timeline = _make_obs(args, config)
     result = run_named(factory, args.cc, config, policy=policy,
                        backoff_policy=backoff, trace_sink=sink,
                        metrics=metrics, fault_plan=fault_plan,
@@ -349,12 +357,7 @@ def cmd_run(args) -> int:
         _print_durability_summary(result.durability)
     if fault_plan is not None:
         _print_fault_summary(result)
-    if sink is not None:
-        _write_trace(args.trace_out, sink.events)
-    if metrics is not None:
-        _write_metrics(args.metrics_out, metrics)
-    if timeline is not None:
-        _write_timeline(args.timeline_out, timeline)
+    _write_obs(args, sink, metrics, timeline)
     return 1 if result.invariant_violations else 0
 
 
@@ -368,42 +371,32 @@ def _per_cc_path(path: str, cc: str) -> str:
 
 
 def cmd_compare(args) -> int:
-    from .obs import MemorySink
     spec, factory = _workload(args)
     fault_plan = _load_fault_plan(args)
     policy, backoff = _load_policy(args, spec, fault_plan)
-    _sink, metrics = _make_obs(args)
     config = _sim_config(args)
-    rows = []
-    traces = []
-    timelines = []
-    fault_results = []
+    _sink, metrics, _timeline = _make_obs(args, config)
+    runs = []
     for cc in args.ccs.split(","):
         cc = cc.strip()
-        sink = MemorySink() if getattr(args, "trace_out", None) else None
-        timeline = _make_timeline(args, config)  # fresh sampler per protocol
+        # a fresh trace sink and sampler per protocol, one registry
+        sink, _metrics, timeline = _make_obs(args, config)
         result = run_named(factory, cc, config,
                            policy=policy, backoff_policy=backoff,
                            trace_sink=sink, metrics=metrics,
                            fault_plan=fault_plan, timeline=timeline)
-        rows.append([cc, result.throughput, result.stats.abort_rate(),
-                     result.stats.total_commits])
-        fault_results.append((cc, result))
-        if sink is not None:
-            traces.append((cc, sink.events))
-        if timeline is not None:
-            timelines.append((cc, timeline))
-    print(format_table(["cc", "TPS", "abort rate", "commits"], rows,
+        runs.append((cc, result, sink, timeline))
+    print(format_table(["cc", "TPS", "abort rate", "commits"],
+                       [[cc, result.throughput, result.stats.abort_rate(),
+                         result.stats.total_commits]
+                        for cc, result, _, _ in runs],
                        title=f"{args.workload} comparison"))
     if fault_plan is not None:
-        for cc, result in fault_results:
+        for cc, result, _, _ in runs:
             _print_fault_summary(result, prefix=f"[{cc}] ")
-    for cc, events in traces:
-        _write_trace(_per_cc_path(args.trace_out, cc), events)
-    for cc, timeline in timelines:
-        _write_timeline(_per_cc_path(args.timeline_out, cc), timeline)
-    if metrics is not None:
-        _write_metrics(args.metrics_out, metrics)
+    for cc, _, sink, timeline in runs:
+        _write_obs(args, sink, timeline=timeline, cc=cc)
+    _write_obs(args, metrics=metrics)
     return 0
 
 
@@ -444,7 +437,8 @@ def _make_trainer(args, spec, factory, metrics):
 
 def cmd_train(args) -> int:
     spec, factory = _workload(args)
-    sink, metrics = _make_obs(args)
+    config = _sim_config(args)
+    sink, metrics, timeline = _make_obs(args, config)
     trainer = _make_trainer(args, spec, factory, metrics)
     result = trainer.train(
         iterations=args.iterations,
@@ -464,20 +458,13 @@ def cmd_train(args) -> int:
           f"({result.evaluations} evaluations)")
     if result.interrupted:
         return 130
-    config = _sim_config(args)
-    timeline = _make_timeline(args, config)
     if sink is not None or timeline is not None:
         # trace one verification run of the trained policy (with the
         # run-insight timeline attached when requested)
         run_named(factory, "polyjuice", config,
                   policy=result.best_policy, trace_sink=sink,
                   metrics=metrics, timeline=timeline)
-        if sink is not None:
-            _write_trace(args.trace_out, sink.events)
-        if timeline is not None:
-            _write_timeline(args.timeline_out, timeline)
-    if metrics is not None:
-        _write_metrics(args.metrics_out, metrics)
+    _write_obs(args, sink, metrics, timeline)
     return 0
 
 
@@ -545,10 +532,9 @@ def cmd_profile(args) -> int:
     from .obs import TimeAccountant, check_accounting, format_profile_table
     spec, factory = _workload(args)
     policy, backoff = _load_policy(args, spec)
-    sink, metrics = _make_obs(args)
     config = _sim_config(args)
+    sink, metrics, timeline = _make_obs(args, config)
     accountant = TimeAccountant(config.n_workers, config.duration)
-    timeline = _make_timeline(args, config)
     result = run_named(factory, args.cc, config, policy=policy,
                        backoff_policy=backoff, trace_sink=sink,
                        accountant=accountant, metrics=metrics,
@@ -557,12 +543,7 @@ def cmd_profile(args) -> int:
           f"{config.duration:,.0f} simulated ticks, "
           f"{config.n_workers} workers")
     print(format_profile_table(accountant))
-    if sink is not None:
-        _write_trace(args.trace_out, sink.events)
-    if metrics is not None:
-        _write_metrics(args.metrics_out, metrics)
-    if timeline is not None:
-        _write_timeline(args.timeline_out, timeline)
+    _write_obs(args, sink, metrics, timeline)
     violation = check_accounting(accountant)
     if violation is not None:
         print(f"ACCOUNTING VIOLATION: {violation}", file=sys.stderr)

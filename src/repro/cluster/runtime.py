@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
 from ..errors import AbortReason, ReproError, TransactionAborted
 from ..frontend.admission import SHED_SHARD_DOWN
+from ..sim.scheduler import RunLayer
 from ..storage.table import Table
 from .network import Network
 from .partition import Partitioner
@@ -74,7 +75,7 @@ class ShardedTable(Table):
         return Table.scan_committed(self, lo, hi, limit, reverse)
 
 
-class ClusterRuntime:
+class ClusterRuntime(RunLayer):
     """Per-run cluster state: partitioner, network, per-txn access sets,
     pending network charges, and cluster-wide counters.  Attached to the
     scheduler as ``scheduler.cluster``."""
@@ -217,7 +218,7 @@ class ClusterRuntime:
         self.shard_commits[home] += 1
         touched = self._touched.pop(worker_id, None)
         self._pending_net.pop(worker_id, None)
-        timeline = getattr(self.scheduler, "timeline", None)
+        timeline = self.scheduler.timeline
         if timeline is not None:
             timeline.on_shard_commit(self.scheduler.now, home)
         if not touched:
@@ -263,6 +264,10 @@ class ClusterRuntime:
         for shard, commits in enumerate(self.shard_commits):
             rows.append((f"cluster_commits_shard{shard}", float(commits)))
         return rows
+
+    def install_metrics(self, registry, **labels: str) -> None:
+        for name, value in self.metrics_rows():
+            registry.gauge(name, **labels).set(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"ClusterRuntime(shards={self.n_shards}, "

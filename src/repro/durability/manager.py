@@ -26,15 +26,15 @@ for what has no one-shard meaning and reaches in through a few hooks.
 * **checkpoints** — :class:`Database` snapshots tagged with the last
   assigned seqno, taken at t=0, every ``checkpoint_interval`` ticks, and
   after each recovery.  Charged no simulated time (SiloR checkpoints on
-  spare threads).  The t=0 image is captured once, in :meth:`install`,
-  and shared: it is checkpoint 0 *and* the immutable base of the
-  :class:`~repro.durability.view.DurableView` the recovery oracle
-  compares against.
+  spare threads).  The t=0 image is captured once, by
+  :meth:`keep_recovery_state`, and shared: it is checkpoint 0 *and* the
+  immutable base of the :class:`~repro.durability.view.DurableView` the
+  recovery oracle compares against.
 * **recovery-only state** — the checkpoint copies, the durable view and
   the durable-vid set are read by nothing but :meth:`node_crash` and the
   cluster layer's ``shard_crash``, and only a scripted fault calls those
-  (rate-drawn faults cannot crash a node or a shard).  So :meth:`install`
-  builds that state only when the run's fault plan
+  (rate-drawn faults cannot crash a node or a shard).  So that state is
+  built only when the fault injector's install finds that the run's plan
   :attr:`~repro.faults.plan.FaultPlan.scripts_crash`; otherwise every
   checkpoint is still counted (``checkpoints_taken``) but never copied,
   and the view stays ``None``.  The WAL is the same either way.
@@ -62,18 +62,18 @@ crashed-and-recovered run is replayable bit for bit.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Set,
-                    Tuple, TYPE_CHECKING)
+from typing import (Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+                    TYPE_CHECKING)
 
 from ..config import SimConfig
 from ..errors import ReproError
 from ..obs.tracing import EventKind, TraceEvent
-from ..rng import spawn_rng
+from ..sim.scheduler import RunLayer
+from ..sim.worker import spawn_workers
 from ..storage.database import Database, Snapshot
 from .log import LogRecord, WriteImage, apply_record, lost_txns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import random
     from .view import DurableView
     from ..core.context import TxnContext
     from ..sim.scheduler import Scheduler
@@ -138,7 +138,7 @@ class RecoveryReport:
                 f"{self.lost_inflight})")
 
 
-class DurabilityManager:
+class DurabilityManager(RunLayer):
     """Owns the simulated WAL — one log, flush device and persistent epoch
     per shard, a single shard unless a cluster runtime says otherwise —
     plus the epoch clock, the watermark, checkpoints and recovery for one
@@ -157,8 +157,6 @@ class DurabilityManager:
         self.stats = stats
         self.n_shards = n_shards
         self.scheduler: Optional["Scheduler"] = None
-        self._worker_factory: Optional[Callable[[int, "random.Random"],
-                                                "Worker"]] = None
         # -- log state -------------------------------------------------- #
         #: last assigned global commit sequence number (0 = none yet)
         self.seqno = 0
@@ -244,27 +242,27 @@ class DurabilityManager:
     # ------------------------------------------------------------------ #
     # wiring
 
-    def install(self, scheduler: "Scheduler",
-                worker_factory: Callable[[int, "random.Random"],
-                                         "Worker"]) -> None:
+    def install(self, scheduler: "Scheduler") -> None:
         """Attach to the scheduler: take checkpoint 0 and start the epoch
-        (and optional checkpoint) clocks.  When the fault plan scripts a
-        crash, checkpoint 0 copies the t=0 image once — it is both the
-        checkpoint and the durable view's base; otherwise no crash can
-        read it and it is only counted.  ``worker_factory`` builds
-        replacement workers after a crash."""
+        (and optional checkpoint) clocks.  Checkpoint 0 is only counted
+        here; :meth:`keep_recovery_state` copies it for a run that can
+        crash."""
         self.scheduler = scheduler
-        self._worker_factory = worker_factory
-        faults = scheduler.faults
-        if faults is not None and faults.plan.scripts_crash:
-            # the recovery oracle is installed with the crash it audits
-            from .view import DurableView
-            image = self.db.snapshot()
-            self.checkpoints.append(Checkpoint(scheduler.now, self.seqno,
-                                               image))
-            self.durable_view = DurableView(image)
+        scheduler.durability = self
         self.checkpoints_taken += 1
         self._start_clocks(0.0)
+
+    def keep_recovery_state(self) -> None:
+        """Copy the t=0 image once — it is both checkpoint 0 and the
+        durable view's base.  The fault injector calls this from its
+        install, before the first event, when its plan scripts a node or
+        shard crash: the recovery oracle is installed with the crash it
+        audits."""
+        from .view import DurableView
+        image = self.db.snapshot()
+        self.checkpoints.append(Checkpoint(self.scheduler.now, self.seqno,
+                                           image))
+        self.durable_view = DurableView(image)
 
     def _start_clocks(self, origin: float) -> None:
         generation = self._crash_generation
@@ -279,9 +277,8 @@ class DurabilityManager:
     def _spawn_workers(self, worker_ids, salt: int) -> List["Worker"]:
         """Replacement workers for a restart, on fresh deterministic RNG
         streams (``salt`` names the restart cohort)."""
-        return [self._worker_factory(
-                    worker_id, spawn_rng(self.config.seed, worker_id, salt))
-                for worker_id in worker_ids]
+        return spawn_workers(self.scheduler, self.cc, self.workload,
+                             self.stats, worker_ids, salt)
 
     # ------------------------------------------------------------------ #
     # logging (hot path: called once per commit)
@@ -649,13 +646,39 @@ class DurabilityManager:
 
     # ------------------------------------------------------------------ #
 
-    def finalize(self) -> None:
+    def finalize(self, now: float) -> None:
         """End-of-run bookkeeping: record the final persistent-epoch lag.
         Commits still buffered or mid-flush at the horizon were never
         acked, exactly like a run that ends between group commits."""
         lag = self.current_epoch - 1 - self.persistent_epoch
         if lag > self.max_epoch_lag:
             self.max_epoch_lag = lag
+
+    def install_metrics(self, registry, **labels: str) -> None:
+        counters = [
+            ("durability_log_records_total", self.log_records_total),
+            ("durability_log_bytes_total", self.log_bytes_total),
+            ("durability_flushes_total", self.flushes),
+            ("durability_flush_stalls_total", self.flush_stalls),
+            ("durability_acked_commits_total", self.acked_commits),
+            ("durability_checkpoints_total", self.checkpoints_taken)]
+        if self.crash_count:
+            counters += [
+                ("durability_node_crashes_total", self.crash_count),
+                ("durability_recovery_ticks_total",
+                 self.recovery_ticks_total),
+                ("durability_lost_inflight_total", self.lost_inflight_total),
+                ("durability_lost_unflushed_total",
+                 self.lost_unflushed_total)]
+        for name, value in counters:
+            registry.counter(name, **labels).inc(value)
+        registry.gauge("durability_persistent_epoch",
+                       **labels).set(self.persistent_epoch)
+        registry.gauge("durability_epoch_lag_max",
+                       **labels).set(self.max_epoch_lag)
+        # the 2PC layer's gauges: no rows without a cluster (only-when-fed)
+        for name, value in self.metrics_rows():
+            registry.gauge(name, **labels).set(value)
 
     @property
     def unflushed_records(self) -> int:

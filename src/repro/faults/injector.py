@@ -23,8 +23,9 @@ Injection sites and safety:
   wake-up.
 
 Every fired fault is emitted as a typed ``EventKind.FAULT`` trace event and
-counted in :attr:`FaultInjector.fired`, which the bench runner copies into
-the metrics registry (``run_faults_injected_total``).
+counted in :attr:`FaultInjector.fired`, which
+:meth:`FaultInjector.install_metrics` writes into the metrics registry
+(``run_faults_injected_total``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Dict, Optional, TYPE_CHECKING, Tuple
 
 from ..errors import AbortReason, TransactionAborted
 from ..obs.tracing import EventKind, TraceEvent
+from ..sim.scheduler import RunLayer
 from .plan import FaultPlan, ScriptedFault, validate_event_against_run
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 FAULT_RNG_SALT = 715_517
 
 
-class FaultInjector:
+class FaultInjector(RunLayer):
     """Applies a :class:`FaultPlan` to one simulated run."""
 
     def __init__(self, plan: FaultPlan, rng: random.Random) -> None:
@@ -73,19 +75,32 @@ class FaultInjector:
 
     def install(self, scheduler: "Scheduler") -> None:
         """Attach to a scheduler and schedule the plan's scripted events.
-        Must be called after all workers are registered."""
+        Must be called after all workers are registered and every other
+        layer is installed: events validate against the run's workers,
+        shards, durability and frontend, and schedule after their
+        callbacks (the same-tick tie-break)."""
         self.scheduler = scheduler
-        n_workers = len(scheduler._workers)
-        cluster = getattr(scheduler, "cluster", None)
-        has_durability = getattr(scheduler, "durability", None) is not None
-        has_frontend = getattr(scheduler, "frontend", None) is not None
+        scheduler.faults = self
+        cluster = scheduler.cluster
         for index, event in enumerate(self.plan.events):
             validate_event_against_run(
-                event, index, n_workers=n_workers,
+                event, index, n_workers=len(scheduler._workers),
                 n_shards=cluster.n_shards if cluster is not None else None,
-                has_durability=has_durability, has_frontend=has_frontend)
+                has_durability=scheduler.durability is not None,
+                has_frontend=scheduler.frontend is not None)
             scheduler.schedule_callback(
                 event.time, lambda e=event: self._fire_scripted(e))
+        if self.plan.scripts_crash:
+            # validated above: a crash event needs durability
+            scheduler.durability.keep_recovery_state()
+
+    def install_metrics(self, registry, **labels: str) -> None:
+        for kind, count in self.fired.items():
+            registry.counter("run_faults_injected_total", kind=kind,
+                             **labels).inc(count)
+        if self.downtime_injected:
+            registry.counter("run_crash_downtime_total",
+                             **labels).inc(self.downtime_injected)
 
     # ------------------------------------------------------------------ #
     # hooks called by the simulator

@@ -35,6 +35,7 @@ from ..config import SimConfig
 from ..core.backoff import ExponentialBackoffManager
 from ..obs.tracing import EventKind, TraceEvent
 from ..rng import spawn_rng
+from ..sim.scheduler import RunLayer
 from .admission import (AdmissionQueue, QueuedInvocation,
                         SHED_DEADLINE_INFLIGHT, SHED_DEADLINE_QUEUE,
                         SHED_EVICTED, SHED_RETRY_BUDGET, SHED_SHARD_DOWN)
@@ -70,7 +71,7 @@ class ShardView:
         return f"ShardView({self.shard})"
 
 
-class Frontend:
+class Frontend(RunLayer):
     """Seeded open-loop arrival process, per-shard admission queues and
     the global admission ledger."""
 
@@ -128,7 +129,9 @@ class Frontend:
     # wiring
 
     def install(self, scheduler) -> None:
-        """Attach to ``scheduler`` and schedule the first arrival."""
+        """Attach to ``scheduler`` and schedule the first arrival.  Runs
+        before the fault injector's install: scripted burst events
+        validate against ``scheduler.frontend``."""
         self.scheduler = scheduler
         scheduler.frontend = self
         self.stats.open_loop = True
@@ -340,6 +343,24 @@ class Frontend:
                 f"overload: {self.inflight} invocations still marked "
                 "in flight after teardown")
         return violations
+
+    def install_metrics(self, registry, **labels: str) -> None:
+        stats = self.stats
+        registry.gauge("frontend_goodput_tps", **labels).set(stats.goodput())
+        registry.gauge("frontend_slo_attainment",
+                       **labels).set(stats.slo_attainment())
+        registry.counter("frontend_arrivals_total",
+                         **labels).inc(self.arrivals)
+        registry.counter("frontend_admitted_total",
+                         **labels).inc(self.admitted)
+        for reason, count in sorted(stats.shed.items()):
+            registry.counter("frontend_shed_total", reason=reason,
+                             **labels).inc(count)
+        registry.gauge("frontend_queue_depth_max",
+                       **labels).set(self.depth_max)
+        if stats.queue_wait.count:
+            registry.gauge("frontend_queue_wait_p99_us",
+                           **labels).set(stats.queue_wait.pct(0.99))
 
 
 class ShardedFrontend(Frontend):

@@ -55,8 +55,8 @@ import heapq
 import itertools
 from collections import deque
 from operator import attrgetter
-from typing import (Callable, Dict, List, Optional, Set,  # noqa: F401
-                    Tuple, TYPE_CHECKING)
+from typing import (Callable, Dict, List, Optional, Sequence,  # noqa: F401
+                    Set, Tuple, TYPE_CHECKING)
 
 from ..config import SimConfig
 from ..core.context import TxnStatus
@@ -68,6 +68,7 @@ from .worker import Worker
 
 if TYPE_CHECKING:
     from ..obs.profile import TimeAccountant
+    from ..obs.timeline import TimelineSampler
 
 _KIND_WORKER = 0
 _KIND_CALLBACK = 1
@@ -93,13 +94,41 @@ class _Park:
         self.keys = keys
 
 
+class RunLayer:
+    """An opt-in subsystem of one run — the cluster runtime, durability,
+    the open-loop frontend, the fault injector.  The bench runner builds
+    the layers a run's config and fault plan ask for and drives each
+    through the same steps, in install order: :meth:`install` after the
+    workers are added, :meth:`finalize` once the run is closed, then
+    :meth:`check_invariants` and :meth:`install_metrics`."""
+
+    #: violations the layer's own oracle recorded while the run went;
+    #: reported even when the caller skips the end-of-run checks
+    violations: Sequence[str] = ()
+
+    def install(self, scheduler: "Scheduler") -> None:
+        """Attach to the scheduler slot the hot path reads and schedule
+        the layer's first callbacks."""
+        raise NotImplementedError
+
+    def finalize(self, now: float) -> None:
+        """End-of-run bookkeeping at the horizon ``now``."""
+
+    def check_invariants(self) -> List[str]:
+        """The layer's end-of-run audit (after :meth:`finalize`)."""
+        return list(self.violations)
+
+    def install_metrics(self, registry, **labels: str) -> None:
+        """Write the layer's end-of-run metrics into ``registry``."""
+
+
 class Scheduler:
     """Event loop for one simulated run."""
 
     def __init__(self, config: SimConfig,
                  trace: Optional[TraceSink] = None,
                  accountant: Optional[TimeAccountant] = None,
-                 faults=None) -> None:
+                 timeline: Optional[TimelineSampler] = None) -> None:
         self.config = config
         self.now = 0.0
         #: structured event sink; the default no-op sink has
@@ -107,24 +136,19 @@ class Scheduler:
         self.trace: TraceSink = trace if trace is not None else NULL_SINK
         #: optional per-worker time accountant (``repro.obs.profile``)
         self.accountant = accountant
-        #: optional :class:`~repro.faults.FaultInjector`; ``None`` keeps the
-        #: fault hooks off the hot path entirely
-        self.faults = faults
-        #: optional :class:`~repro.durability.DurabilityManager`, attached
-        #: by the bench runner when ``config.durability`` is set; ``None``
-        #: keeps every durability hook to one falsy attribute check
+        #: optional windowed run-insight sampler; ``None`` keeps the
+        #: timeline hooks to one falsy attribute check per site (same
+        #: contract as the tracer)
+        self.timeline = timeline
+        # the opt-in layers' slots, each set by that layer's install();
+        # ``None`` keeps the layer's hooks to one falsy attribute check
+        #: :class:`~repro.faults.FaultInjector`
+        self.faults = None
+        #: :class:`~repro.durability.DurabilityManager`
         self.durability = None
-        #: optional :class:`~repro.obs.timeline.TimelineSampler`, attached
-        #: by the bench runner; ``None`` keeps the timeline hooks to one
-        #: falsy attribute check per site (same contract as the tracer)
-        self.timeline = None
-        #: optional :class:`~repro.frontend.Frontend`, attached by the
-        #: bench runner when ``config.frontend`` is set; ``None`` keeps the
-        #: run closed-loop with zero frontend hooks on the hot path
+        #: :class:`~repro.frontend.Frontend`; ``None`` is a closed loop
         self.frontend = None
-        #: optional :class:`~repro.cluster.ClusterRuntime`, attached by the
-        #: bench runner when ``config.cluster`` is set; ``None`` means the
-        #: run is single-node and no cluster hook exists anywhere
+        #: :class:`~repro.cluster.ClusterRuntime`; ``None`` is one node
         self.cluster = None
         self._heap: List[Tuple[float, int, int, object]] = []
         #: events scheduled *at the current instant* bypass the heap: they

@@ -89,7 +89,7 @@ class RunStats:
     """
 
     def __init__(self, type_names: Sequence[str], warmup_end: float = 0.0,
-                 collect_latency: bool = True) -> None:
+                 collect_latency: bool = True, sampler=None) -> None:
         self.type_names = list(type_names)
         self.warmup_end = warmup_end
         self.collect_latency = collect_latency
@@ -117,7 +117,7 @@ class RunStats:
         #: run-insight windowed sampler, fed from the same record_* calls
         #: as the counters (but over the whole run, warm-up included, so
         #: the early windows are visible); None keeps it zero-overhead
-        self.sampler = None
+        self.sampler = sampler
         self.start_time = 0.0
         self.end_time = 0.0
         #: True when an open-loop frontend drives this run; gates the SLO

@@ -26,10 +26,11 @@ a wait-for cycle or timeout).
 from __future__ import annotations
 
 import random
-from typing import Generator, Optional, TYPE_CHECKING, Union
+from typing import Generator, Iterable, List, Optional, TYPE_CHECKING, Union
 
 from ..errors import AbortReason, TransactionAborted
 from ..obs.tracing import EventKind, TraceEvent
+from ..rng import spawn_rng
 from .events import Cost, CostKind, WaitFor, WaitKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,8 +62,10 @@ class Worker:
         #: the scheduler's trace sink (cached: one attribute hop on the
         #: hot path instead of two)
         self.trace = scheduler.trace
-        #: the scheduler's fault injector, cached for the same reason
-        self.faults = scheduler.faults
+        #: the scheduler's fault injector, cached for the same reason when
+        #: the run first advances the worker (layers install after the
+        #: workers are added)
+        self.faults = None
         #: bumped on every (re)schedule and park; stale heap events are skipped
         self.generation = 0
         self.finished = False
@@ -94,6 +97,7 @@ class Worker:
 
     def _main(self) -> Generator[Directive, None, None]:
         scheduler = self.scheduler
+        self.faults = scheduler.faults
         frontend = scheduler.frontend
         trace = self.trace
         accountant = scheduler.accountant
@@ -240,3 +244,14 @@ class Worker:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Worker({self.worker_id})"
+
+
+def spawn_workers(scheduler: "Scheduler", cc, workload, stats: "RunStats",
+                  worker_ids: Iterable[int], *salts: int) -> List[Worker]:
+    """The workers ``worker_ids`` of one run, each on its own RNG stream
+    ``spawn_rng(seed, worker_id, *salts)`` — the run's first cohort (no
+    salt) or a restart cohort after a crash."""
+    config = scheduler.config
+    return [Worker(worker_id, scheduler, cc, workload, stats, config,
+                   spawn_rng(config.seed, worker_id, *salts))
+            for worker_id in worker_ids]

@@ -7,6 +7,7 @@ from repro.errors import ConfigError
 from repro.bench.runner import ExperimentResult, run_named, run_protocol
 from repro.bench.reporting import format_series, format_table, speedup_summary
 from repro.cc import CormCC, SiloOCC
+from repro.obs import MetricsRegistry, TimelineSampler
 
 from tests.helpers import CounterWorkload
 
@@ -34,6 +35,20 @@ class TestRunner:
         result = run_protocol(counter_factory, descriptor, config)
         assert result.cc_name == "cormcc"
         assert result.detail in ("picked silo", "picked 2pl")
+
+    def test_probed_run_metrics_carry_the_reported_name(self):
+        # the probes record nothing; the measured run is labelled with the
+        # name the result reports, not the winner's
+        config = SimConfig(n_workers=2, duration=2000.0, seed=1)
+        metrics = MetricsRegistry()
+        timeline = TimelineSampler(500.0, config.n_workers)
+        result = run_protocol(counter_factory, CormCC(probe_fraction=0.25),
+                              config, metrics=metrics, timeline=timeline)
+        labels = {row["labels"]["cc"] for row in metrics.snapshot()}
+        assert labels == {"cormcc"}
+        commits = sum(row["value"] for row in metrics.snapshot()
+                      if row["name"] == "run_commits_total")
+        assert commits == result.stats.total_commits
 
     def test_callbacks_receive_cc(self):
         config = SimConfig(n_workers=2, duration=1000.0, seed=1)
