@@ -371,14 +371,20 @@ def _per_cc_path(path: str, cc: str) -> str:
 
 
 def cmd_compare(args) -> int:
+    ccs = [cc.strip() for cc in args.ccs.split(",")]
+    for index, cc in enumerate(ccs):
+        if cc in ccs[:index]:
+            # metrics and trace files are keyed by protocol name: a second
+            # run would fold into the first's series and overwrite its trace
+            raise ReproError(f"--ccs names {cc!r} twice; list each "
+                             "protocol once")
     spec, factory = _workload(args)
     fault_plan = _load_fault_plan(args)
     policy, backoff = _load_policy(args, spec, fault_plan)
     config = _sim_config(args)
     _sink, metrics, _timeline = _make_obs(args, config)
     runs = []
-    for cc in args.ccs.split(","):
-        cc = cc.strip()
+    for cc in ccs:
         # a fresh trace sink and sampler per protocol, one registry
         sink, _metrics, timeline = _make_obs(args, config)
         result = run_named(factory, cc, config,

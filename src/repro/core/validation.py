@@ -22,6 +22,7 @@ from typing import Generator, List, Optional, Tuple, TYPE_CHECKING
 from ..errors import AbortReason, TransactionAborted
 from ..obs.tracing import EventKind, FinalValidateEvent, TraceEvent
 from ..sim.events import Cost, WaitFor, WaitKind
+from ..storage.access_list import EMPTY_ACCESS_LIST
 from .context import ReadEntry, TxnContext, TxnStatus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -127,12 +128,18 @@ def _live_owner(record: "Record") -> Tuple[TxnContext, ...]:
 
 def scrub(ctx: TxnContext) -> None:
     """Remove every trace of ``ctx`` from shared storage state: access-list
-    entries and commit locks.  Safe to call multiple times; called on both
-    commit and abort."""
+    entries (a list left empty is given back for the shared
+    ``EMPTY_ACCESS_LIST``) and commit locks.  Safe to call multiple times;
+    called on both commit and abort."""
     worker = ctx.worker
     scheduler = worker.scheduler if worker is not None else None
     for record in ctx.touched_records:
-        record.access_list.remove_txn(ctx)
+        access_list = record.access_list
+        if access_list is not EMPTY_ACCESS_LIST and \
+                not access_list.remove_txn(ctx):
+            # the last entry left: the record shares the empty list again,
+            # so a run keeps lists only for records with in-flight entries
+            record.access_list = EMPTY_ACCESS_LIST
         if record.writer_ctx is ctx:
             # drop the install-provenance pointer: storage names live
             # transactions only (storage_residue checks it), so a terminal

@@ -7,6 +7,17 @@ in a parked map, one :class:`_Park` record each (the wait, when it parked,
 the wake keys it is subscribed under); the map's insertion order is the
 park order.
 
+Every park arms a ``wait_timeout`` timer, and most parks end long before
+it is due.  The timers wait in one arm-ordered queue, and only its head is
+on the heap, under the (deadline, seq) its own callback would have had.
+Arm order is deadline order — ``now`` never decreases and ``wait_timeout``
+is one constant per run — so when the head fires, the timers behind it
+whose park already ended are dropped (each would have fired as a no-op;
+a park's generation is never reused), the next live one goes on the heap,
+and every timer that does fire fires at its own place in the event order.
+Dead timers thus neither sit on the heap nor count in
+:attr:`Scheduler.events_processed`.
+
 Wake-ups are *event-driven* (subscription-based): when a worker parks, it
 is registered on a wake index keyed by every transaction in the wait's
 ``dep_ctxs`` (plus its own in-flight context, and any extra ``wake_keys``
@@ -158,6 +169,12 @@ class Scheduler:
         #: preserves the exact global event order while skipping the
         #: O(log n) heap churn on the dominant schedule-at-now path.
         self._ready: deque = deque()
+        #: armed wait timeouts, ``(deadline, seq, worker, generation)`` in
+        #: arm order — also (deadline, seq) order, because ``now`` never
+        #: decreases and ``wait_timeout`` is one constant per run.  Only
+        #: the head is on the heap (see :meth:`_fire_timeout`).
+        self._timeouts: deque = deque()
+        self._wait_timeout = config.cost.wait_timeout
         self._seq = itertools.count()
         self._workers: List[Worker] = []
         #: parked worker -> its park record; insertion order is park order
@@ -507,16 +524,17 @@ class Scheduler:
         """Let go of the run's world, the last step of a run: close every
         worker (a no-op but for its in-flight context once it finished;
         a teardown in worker-id order if an exception escaped the run),
-        then drop the queued events, park records, wake index, per-worker
-        deferrals, the workers and the attached layers.  Each of those
-        points back at the scheduler, so without this a finished run — its
-        database included — is one reference cycle only the cyclic
-        collector could free.  The counters and wait profiles stay
+        then drop the queued events and timers, park records, wake index,
+        per-worker deferrals, the workers and the attached layers.  Each
+        of those points back at the scheduler, so without this a finished
+        run — its database included — is one reference cycle only the
+        cyclic collector could free.  The counters and wait profiles stay
         readable."""
         for worker in self._workers:
             worker.close()
-        for container in (self._heap, self._ready, self._parked, self._subs,
-                          self._dirty, self._pending_exc, self._deferred_cost,
+        for container in (self._heap, self._ready, self._timeouts,
+                          self._parked, self._subs, self._dirty,
+                          self._pending_exc, self._deferred_cost,
                           self._sleep_charge, self._workers):
             container.clear()
         self.cluster = self.durability = self.frontend = None
@@ -614,25 +632,49 @@ class Scheduler:
     def _arm_timeout(self, worker: Worker, generation: int) -> None:
         """Break ``worker``'s wait if it is still parked on it after
         ``wait_timeout``: the park's ``generation`` identifies the wait
-        (every park and every wake-up bumps it).  The callback must not
+        (every park and every wake-up bumps it).  The timer joins the
+        arm-ordered queue under the ``seq`` a callback scheduled here would
+        draw; only the queue's head sits on the heap.  The entry must not
         hold the park record — it would keep the wait's transactions alive
         for the whole timeout."""
-        deadline = self.now + self.config.cost.wait_timeout
+        entry = (self.now + self._wait_timeout, next(self._seq), worker,
+                 generation)
+        timeouts = self._timeouts
+        timeouts.append(entry)
+        if len(timeouts) == 1:
+            self._push_timeout(entry)
 
-        def fire() -> None:
-            park = self._parked.get(worker)
-            if park is None or worker.generation != generation:
-                return  # no longer parked on that wait
-            self.timeout_breaks += 1
-            if park.wait.abort_on_break:
-                self.abort_parked(worker, TransactionAborted(
-                    AbortReason.WAIT_TIMEOUT), outcome="timeout")
-            else:
-                self._unpark(worker, outcome="timeout")
-                self._exempt_wait(worker, park.wait)
-                self._advance(worker)
+    def _push_timeout(self, entry: Tuple[float, int, Worker, int]) -> None:
+        """Put the timer queue's head on the heap under its own (deadline,
+        seq), so it fires exactly where its own callback would have."""
+        _heappush(self._heap, (entry[0], entry[1], _KIND_CALLBACK,
+                               self._fire_timeout))
 
-        self.schedule_callback(deadline, fire)
+    def _fire_timeout(self) -> None:
+        """The queue's head is due: pop it and every timer behind it whose
+        park already ended (it would have fired as a no-op), put the next
+        live timer on the heap, then break the head's wait if it is still
+        parked on it."""
+        timeouts = self._timeouts
+        _, _, worker, generation = timeouts.popleft()
+        parked = self._parked
+        while timeouts:
+            _, _, waiter, armed = head = timeouts[0]
+            if waiter in parked and waiter.generation == armed:
+                self._push_timeout(head)
+                break
+            timeouts.popleft()
+        park = parked.get(worker)
+        if park is None or worker.generation != generation:
+            return  # no longer parked on that wait
+        self.timeout_breaks += 1
+        if park.wait.abort_on_break:
+            self.abort_parked(worker, TransactionAborted(
+                AbortReason.WAIT_TIMEOUT), outcome="timeout")
+        else:
+            self._unpark(worker, outcome="timeout")
+            self._exempt_wait(worker, park.wait)
+            self._advance(worker)
 
     # ------------------------------------------------------------------ #
     # aborting another worker

@@ -11,9 +11,13 @@ between concurrent transactions:
 
 Entries are scrubbed when their transaction commits or aborts.
 
-Most records are never accessed by a transaction that publishes, so a
-record starts out sharing :data:`EMPTY_ACCESS_LIST` and gets its own list
-from :meth:`~repro.storage.record.Record.publish_list` on the first publish.
+A list lives as long as its entries.  A record shares
+:data:`EMPTY_ACCESS_LIST` while no in-flight transaction has an entry on
+it: it gets its own list from
+:meth:`~repro.storage.record.Record.publish_list` on a publish, and gives
+it back when the scrub of its last entry's transaction empties it
+(:func:`repro.core.validation.scrub`).  So a run holds one list per record
+with in-flight entries, not one per record ever published to.
 """
 
 from __future__ import annotations
@@ -175,8 +179,9 @@ class AccessList:
             deps.add(entry.ctx)
         return deps
 
-    def remove_txn(self, ctx: "TxnContext") -> None:
-        """Scrub every entry of ``ctx`` (on commit or abort).
+    def remove_txn(self, ctx: "TxnContext") -> int:
+        """Scrub every entry of ``ctx`` (on commit or abort) and return how
+        many entries are left — at 0 the record gives the list back.
 
         Single pass: scan up to the first hit, then keep filtering from
         there into a fresh list.  Entries before the first hit are copied
@@ -190,7 +195,8 @@ class AccessList:
                     if later.ctx is not ctx:
                         kept.append(later)
                 self._entries = kept
-                return
+                return len(kept)
+        return len(entries)
 
     def is_write_still_latest(self, entry: AccessEntry) -> bool:
         """True if ``entry`` is still the latest visible write by its txn.
@@ -202,8 +208,8 @@ class AccessList:
         return own_latest is not None and own_latest.version_id == entry.version_id
 
 
-#: The access list of every record no transaction has published to: one
-#: shared instance whose entries are an empty *tuple*, so every reader sees
-#: an empty list and ``append`` / the ``insert_*`` methods raise.
+#: The access list of every record with no in-flight entry: one shared
+#: instance whose entries are an empty *tuple*, so every reader sees an
+#: empty list and ``append`` / the ``insert_*`` methods raise.
 EMPTY_ACCESS_LIST = AccessList.__new__(AccessList)
 EMPTY_ACCESS_LIST._entries = ()

@@ -54,7 +54,8 @@ class Record:
         #: txn context currently holding the commit-phase lock, or None
         self.lock_owner: Optional["TxnContext"] = None
         #: per-record access list of in-flight reads / visible writes —
-        #: the shared, frozen EMPTY_ACCESS_LIST until the first publish
+        #: the shared, frozen EMPTY_ACCESS_LIST whenever it holds no entry
+        #: (until a publish, and again once the last entry is scrubbed)
         self.access_list: AccessList = EMPTY_ACCESS_LIST
         #: context that committed the current version (None once it is
         #: fully terminal; kept only for dependency bookkeeping)
@@ -62,8 +63,9 @@ class Record:
 
     def publish_list(self) -> AccessList:
         """The access list to publish an entry to: this record's own list,
-        created on the first publish.  Readers use :attr:`access_list`
-        directly; every mutation goes through here."""
+        created on a publish to a record that holds no entry.  Readers use
+        :attr:`access_list` directly; every append goes through here, and
+        :func:`repro.core.validation.scrub` gives an emptied list back."""
         access_list = self.access_list
         if access_list is EMPTY_ACCESS_LIST:
             access_list = self.access_list = AccessList()

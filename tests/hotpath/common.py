@@ -43,6 +43,13 @@ at its ``WaitFor`` yield, before any other event of that instant.  Each
 event's time lies inside one of the target's waits, so the digest lists
 the ``fault`` WAIT_END events, which must equal the scripted (time,
 worker) pairs.
+
+The ``TIMEOUT_CELLS`` pin the ``wait_timeout`` safety valve, which no
+other cell reaches: the Polyjuice TPC-E cell with a timeout short enough
+that performance waits give up and proceed and commit-phase waits abort
+``wait_timeout``.  Their digests add the scheduler's ``timeout_breaks``,
+the (time, worker) of every ``timeout`` WAIT_END and the wait kinds that
+timed out.
 """
 
 from __future__ import annotations
@@ -55,8 +62,8 @@ from typing import Optional
 
 from repro.bench.runner import run_named
 from repro.cluster.workloads import make_cluster_tpcc_factory
-from repro.config import (ClusterConfig, DurabilityConfig, FrontendConfig,
-                          SimConfig)
+from repro.config import (ClusterConfig, CostModel, DurabilityConfig,
+                          FrontendConfig, SimConfig)
 from repro.core.backoff import BackoffPolicy
 from repro.core.ops import UpdateOp
 from repro.core.protocol import TxnInvocation
@@ -198,6 +205,12 @@ PARKED_FAULT_CELLS = {
 }
 
 
+#: name -> wait_timeout: the Polyjuice TPC-E cell with timeouts of a few
+#: dozen ticks, so parked progress waits (exempt and proceed) and commit
+#: dependency waits (abort ``wait_timeout``) both outlive their timer
+TIMEOUT_CELLS = {"polyjuice-tpce_t3-wait_timeout": 20.0}
+
+
 def cell_names():
     names = [f"{cc}-{mode}" for cc in PROTOCOLS for mode in MODES]
     names.append("polyjuice-faults")
@@ -206,6 +219,7 @@ def cell_names():
     names.extend(BACKOFF_CELLS)
     names.extend(TPCE_CELLS)
     names.extend(PARKED_FAULT_CELLS)
+    names.extend(TIMEOUT_CELLS)
     return names
 
 
@@ -291,16 +305,31 @@ def run_admission_cell(name: str):
 
 
 def run_tpce_cell(name: str):
-    """Run one ``TPCE_CELLS`` entry; returns (digest, result)."""
+    """Run one ``TPCE_CELLS`` or ``TIMEOUT_CELLS`` entry; returns (digest,
+    result)."""
     policy, backoff = tpce_t3_policy()  # the baselines ignore them
+    config = TPCE_CONFIG
+    if name in TIMEOUT_CELLS:
+        config = dataclasses.replace(
+            config, cost=CostModel(wait_timeout=TIMEOUT_CELLS[name]))
     sink, metrics = MemorySink(), MetricsRegistry()
     result = run_named(
-        make_tpce_factory(theta=3.0, seed=TPCE_CONFIG.seed),
-        name.split("-", 1)[0], TPCE_CONFIG, policy=policy,
+        make_tpce_factory(theta=3.0, seed=config.seed),
+        name.split("-", 1)[0], config, policy=policy,
         backoff_policy=backoff, trace_sink=sink, metrics=metrics)
     digest = {"summary": result.stats.summary(),
               "trace_sha": _trace_sha(sink),
               "metrics_sha": _metrics_sha(metrics)}
+    if name in TIMEOUT_CELLS:
+        ends = [event for event in sink.events
+                if event.kind == EventKind.WAIT_END
+                and event.attrs["outcome"] == "timeout"]
+        digest["timeout_breaks"] = _counter_value(metrics,
+                                                  "run_timeout_breaks")
+        digest["timeout_wait_ends"] = [[event.ts, event.worker]
+                                       for event in ends]
+        digest["timeout_wait_kinds"] = sorted(
+            {event.attrs["wait_kind"] for event in ends})
     return digest, result
 
 
@@ -308,7 +337,7 @@ def run_cell(name: str, obs: bool = True):
     """Run one matrix cell; returns (digest dict, ExperimentResult)."""
     if name in ADMISSION_CELLS:
         return run_admission_cell(name)
-    if name in TPCE_CELLS:
+    if name in TPCE_CELLS or name in TIMEOUT_CELLS:
         return run_tpce_cell(name)
     n_keys, n_accesses, fault_plan, backoff = N_KEYS, N_ACCESSES, None, None
     if name in BACKOFF_CELLS:
@@ -351,6 +380,13 @@ def fault_wait_ends(sink: MemorySink) -> list:
     return [[event.ts, event.worker] for event in sink.events
             if event.kind == EventKind.WAIT_END
             and event.attrs["outcome"] == "fault"]
+
+
+def _counter_value(metrics: MetricsRegistry, name: str) -> float:
+    """The value of the one counter called ``name`` in ``metrics``."""
+    [value] = [metric["value"] for metric in metrics.snapshot()
+               if metric["name"] == name]
+    return value
 
 
 def _trace_sha(sink: MemorySink) -> str:

@@ -13,8 +13,8 @@ import os
 
 import pytest
 
-from tests.hotpath.common import (PARKED_FAULT_CELLS, canonical, cell_names,
-                                  run_cell)
+from tests.hotpath.common import (PARKED_FAULT_CELLS, TIMEOUT_CELLS,
+                                  canonical, cell_names, run_cell)
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "data",
                             "fixtures.json")
@@ -39,6 +39,12 @@ def test_matches_pinned_fixture(name, fixtures):
         events = PARKED_FAULT_CELLS[name][1]
         assert digest["fault_wait_ends"] == [[event.time, event.worker]
                                              for event in events]
+    if name in TIMEOUT_CELLS:
+        # a performance wait and a correctness wait both timed out, and
+        # every break ended its park with a ``timeout`` WAIT_END
+        assert "progress" in digest["timeout_wait_kinds"]
+        assert len(digest["timeout_wait_kinds"]) > 1
+        assert digest["timeout_breaks"] == len(digest["timeout_wait_ends"])
 
 
 @pytest.mark.parametrize("name", ["ic3-closed", "polyjuice-closed"])

@@ -166,7 +166,7 @@ class TestRemoveTxnSinglePass:
         access_list.append(write_entry(a, 0))
         access_list.append(read_entry(a, (1, 0)))
         access_list.append(write_entry(a, 1))
-        access_list.remove_txn(a)
+        assert access_list.remove_txn(a) == 0  # entries left
         assert len(access_list) == 0
         access_list.append(write_entry(b))
         assert access_list.latest_visible_write().ctx is b
@@ -190,14 +190,14 @@ class TestRemoveTxnSinglePass:
         access_list.append(write_entry(a))
         access_list.append(read_entry(a, (1, 0)))
         before = access_list._entries
-        access_list.remove_txn(make_ctx(9))
+        assert access_list.remove_txn(make_ctx(9)) == 2
         # the miss path must not rebuild the list (identity, not equality)
         assert access_list._entries is before
         assert len(access_list) == 2
 
     def test_empty_list_noop(self):
         access_list = AccessList()
-        access_list.remove_txn(make_ctx(1))
+        assert access_list.remove_txn(make_ctx(1)) == 0
         assert len(access_list) == 0
 
     def test_hit_at_head_and_tail(self):
@@ -206,7 +206,7 @@ class TestRemoveTxnSinglePass:
         access_list.append(write_entry(a, 0))
         access_list.append(write_entry(b, 0))
         access_list.append(write_entry(a, 1))
-        access_list.remove_txn(a)
+        assert access_list.remove_txn(a) == 1
         assert [e.ctx.txn_id for e in access_list] == [2]
 
     def test_idempotent(self):
@@ -220,8 +220,8 @@ class TestRemoveTxnSinglePass:
 
 
 class TestEmptySentinel:
-    """A record shares the frozen EMPTY_ACCESS_LIST until its first
-    publish; ``Record.publish_list`` is the one way to get a mutable list."""
+    """A record shares the frozen EMPTY_ACCESS_LIST while it holds no
+    entry; ``Record.publish_list`` is the one way to get a mutable list."""
 
     def test_sentinel_cannot_be_mutated(self):
         a = make_ctx(1)

@@ -106,3 +106,15 @@ class TestObservabilityFlags:
         assert (tmp_path / "t.silo.jsonl").stat().st_size > 0
         assert (tmp_path / "t.2pl.jsonl").stat().st_size > 0
         capsys.readouterr()
+
+    def test_compare_refuses_a_repeated_protocol(self, tmp_path, capsys):
+        """Runs are keyed by protocol name, so a name listed twice would
+        add both runs into one metrics series and write one trace over the
+        other: it is refused before any run, and nothing is written."""
+        assert main(["compare", "--ccs", "silo, 2pl,silo",
+                     "--trace", str(tmp_path / "t.jsonl"),
+                     "--metrics", str(tmp_path / "m.json")] + FAST) == 2
+        captured = capsys.readouterr()
+        assert "'silo' twice" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
