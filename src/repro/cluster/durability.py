@@ -70,7 +70,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Dict, Iterable, List, Set, Tuple, TYPE_CHECKING
 
-from ..durability.log import LogRecord, WriteImage, lost_txns
+from ..durability.log import LogRecord, lost_txns
 from ..durability.manager import DurabilityManager
 from ..errors import AbortReason, ReproError, TransactionAborted
 from ..obs.tracing import EventKind, TraceEvent
@@ -250,7 +250,7 @@ class ClusterDurability(DurabilityManager):
         worker = ctx.worker
         home = runtime.shard_of_worker(worker.worker_id) \
             if worker is not None else 0
-        images_by_shard: Dict[int, List[WriteImage]] = {}
+        writes_by_shard: Dict[int, list] = {}
         for entry in sorted(ctx.wset.values(), key=lambda e: e.order):
             if entry.installed_vid is None:
                 continue
@@ -259,32 +259,31 @@ class ClusterDurability(DurabilityManager):
                     f"replicated table {entry.table!r} written by "
                     f"{ctx.type_name} — replicated tables are read-only")
             shard = runtime.durability_shard(entry.table, entry.key)
-            images_by_shard.setdefault(shard, []).append(
-                WriteImage(entry.table, entry.key, entry.value,
-                           entry.installed_vid))
+            writes_by_shard.setdefault(shard, []).append(entry)
         if runtime.any_down:
             down = runtime.shard_down
-            if down[home] or any(down[s] for s in images_by_shard):
+            if down[home] or any(down[s] for s in writes_by_shard):
                 raise ReproError(
                     f"commit of {ctx.type_name} txn {ctx.txn_id} targets a "
                     f"down shard — degraded-mode admission/abort should "
                     f"have stopped it before install")
         # the versions this commit read: a shard crash chases these edges
         # so the voided set stays dependency-closed (oracle bookkeeping
-        # only — excluded from record byte sizes)
-        reads = frozenset(
+        # only — excluded from record byte sizes, and kept only by a run
+        # that can crash)
+        reads = () if self.durable_view is None else frozenset(
             entry.version_id[0] for entry in ctx.rset.values()
             if entry.version_id is not None
             and entry.version_id[0] != INITIAL_TXN_ID)
-        participants = sorted(s for s in images_by_shard if s != home)
-        home_images = images_by_shard.get(home, [])
+        participants = sorted(s for s in writes_by_shard if s != home)
+        home_writes = writes_by_shard.get(home, [])
         if not participants:
-            self._append_records(ctx, [(home, LogRecord, home_images, {})],
+            self._append_records(ctx, [(home, LogRecord, home_writes, {})],
                                  reads)
             return
-        parts = [(shard, PrepareRecord, images_by_shard[shard],
+        parts = [(shard, PrepareRecord, writes_by_shard[shard],
                   {"coordinator": home}) for shard in participants]
-        parts.append((home, DecisionRecord, home_images,
+        parts.append((home, DecisionRecord, home_writes,
                       {"participants": participants}))
         self._append_records(ctx, parts, reads)
         self._send_decisions(home, participants, ctx.txn_id, ctx.type_name)
@@ -647,7 +646,7 @@ class ClusterDurability(DurabilityManager):
         rolled_back = 0
         for table_name, key in poisoned_keys:
             table = self.db._tables.get(table_name)
-            record = None if table is None else table._records.get(key)
+            record = None if table is None else table.get_record(key)
             if record is None or record.version_id[0] not in lost:
                 continue  # a surviving write already supersedes it
             staged = staged_latest.get((table_name, key))

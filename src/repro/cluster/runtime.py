@@ -46,22 +46,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ShardedTable(Table):
     """A table that reports every transactional access to the runtime.
 
-    Adopts the wrapped table's record dict and key index *by reference*
-    (no copy): swapping a ``Table`` for its ``ShardedTable`` in
+    Adopts the wrapped table's rows and key index *by reference* (no
+    copy): swapping a ``Table`` for its ``ShardedTable`` in
     ``db._tables`` changes observation, not state."""
 
     __slots__ = ("_rt",)
 
     def __init__(self, base: Table, runtime: "ClusterRuntime") -> None:
-        self.name = base.name
-        self._records = base._records
-        self._sorted_keys = base._sorted_keys
-        self._keys_dirty = base._keys_dirty
+        self._adopt(base)
         self._rt = runtime
 
     def get_record(self, key):
         self._rt.note_access(self.name, key)
-        return self._records.get(key)
+        return Table.get_record(self, key)
 
     def ensure_record(self, key, version_id):
         self._rt.note_access(self.name, key)

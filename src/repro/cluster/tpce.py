@@ -140,9 +140,9 @@ class ClusterTPCE(TPCEWorkload):
         for key in list(accounts.keys()):
             shard = part.shard_of(tpce_schema.CUSTOMER_ACCOUNT, key)
             b_lo, b_hi = part.shard_range(tpce_schema.BROKER, shard)
-            record = accounts.get_record(key)
-            b_id = record.value["ca_b_id"]
-            record.value["ca_b_id"] = b_lo + (b_id - 1) % (b_hi - b_lo + 1)
+            value = accounts.committed_value(key)
+            b_id = value["ca_b_id"]
+            value["ca_b_id"] = b_lo + (b_id - 1) % (b_hi - b_lo + 1)
         return db
 
     # ------------------------------------------------------------------ #

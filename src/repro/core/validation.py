@@ -209,7 +209,10 @@ def finish(ctx: TxnContext, status: str, reason: Optional[str] = None,
 def storage_residue(db: "Database") -> List[str]:
     """Scan every record for shared state left behind by *terminated*
     transactions: a commit lock still held, or an access-list entry still
-    published, by a context that already committed or aborted.
+    published, by a context that already committed or aborted.  Only
+    materialised records are scanned (:meth:`Table.records`): a row no
+    transaction reached is still raw and can hold none of that state, so
+    the scan neither visits nor builds anything for it.
 
     Any finding is a scrub bug — the abort path (including every injected
     fault) must leave storage as if the dead attempt never ran.  Contexts

@@ -3,11 +3,14 @@
 One :class:`LogRecord` is appended per committed transaction, in install
 order (the commit locks serialise installs, so append order — the global
 ``seqno`` — *is* the commit order; replaying records in seqno order
-reproduces the committed state exactly).  Each record carries its own
-copy of the installed write images so later installs cannot mutate what
-the log saw; :func:`~repro.storage.database.detach_row` also detaches
-nested mutable field values, so even a row holding a list/dict cannot be
-rewritten inside the log by a later in-place mutation.
+reproduces the committed state exactly).  In a run that can crash, each
+record carries its own copy of the installed write images so later
+installs cannot mutate what the log saw;
+:func:`~repro.storage.database.detach_row` also detaches nested mutable
+field values, so even a row holding a list/dict cannot be rewritten
+inside the log by a later in-place mutation.  Only recovery and the
+recovery oracle ever read the images, so a run whose fault plan scripts
+no crash logs each record's identity and size alone.
 
 The byte sizes are deterministic estimates (field names + fixed-width
 scalars), good enough for the ``durability_log_bytes_total`` metric and
@@ -16,7 +19,7 @@ for reasoning about flush volume; nothing is actually serialised.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 from ..storage.database import detach_row
 
@@ -26,8 +29,20 @@ RECORD_HEADER_BYTES = 24
 IMAGE_HEADER_BYTES = 16
 
 
+def image_nbytes(table: str, key: tuple, value: Optional[dict]) -> int:
+    """Estimated log bytes of one write image: the image header, the
+    table name, 8 bytes per key part and, unless it is a delete, each
+    field's name plus 8 bytes."""
+    size = IMAGE_HEADER_BYTES + len(table) + 8 * len(key)
+    if value is not None:
+        size += sum(len(name) + 8 for name in value)
+    return size
+
+
 class WriteImage:
-    """One installed write as the log sees it (``value is None`` = delete)."""
+    """One installed write as the log sees it (``value is None`` = delete):
+    a detached copy, built only by a run that keeps recovery state (the
+    only reader is replay and the durability oracle)."""
 
     __slots__ = ("table", "key", "value", "vid")
 
@@ -39,17 +54,19 @@ class WriteImage:
         self.vid = vid
 
     def nbytes(self) -> int:
-        size = IMAGE_HEADER_BYTES + len(self.table) + 8 * len(self.key)
-        if self.value is not None:
-            size += sum(len(name) + 8 for name in self.value)
-        return size
+        return image_nbytes(self.table, self.key, self.value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"WriteImage({self.table}{self.key}, vid={self.vid})"
 
 
 class LogRecord:
-    """One committed transaction's log entry."""
+    """One committed transaction's log entry.
+
+    Its identity fields and ``nbytes`` are what the epoch machinery and
+    every metric read.  ``writes`` (the images) and ``reads`` (the read
+    set) are recovery state: a run that keeps none logs ``()`` for both
+    and passes the ``nbytes`` its images would have had."""
 
     __slots__ = ("seqno", "epoch", "txn_id", "worker_id", "type_name",
                  "first_start", "commit_time", "writes", "nbytes",
@@ -64,9 +81,9 @@ class LogRecord:
 
     def __init__(self, seqno: int, epoch: int, txn_id: int, worker_id: int,
                  type_name: str, first_start: float, commit_time: float,
-                 writes: List[WriteImage],
+                 writes: Sequence[WriteImage],
                  deadline: Optional[float] = None,
-                 reads=()) -> None:
+                 reads=(), nbytes: Optional[int] = None) -> None:
         #: global commit sequence number (1-based, install order)
         self.seqno = seqno
         #: epoch the commit belongs to (assigned at install time, so it is
@@ -79,15 +96,18 @@ class LogRecord:
         self.first_start = first_start
         self.commit_time = commit_time
         self.writes = writes
-        self.nbytes = RECORD_HEADER_BYTES + sum(w.nbytes() for w in writes)
+        #: estimated size: the header plus each image's size (the log
+        #: passes it; records built by hand are sized from ``writes``)
+        self.nbytes = (RECORD_HEADER_BYTES + sum(w.nbytes() for w in writes)
+                       if nbytes is None else nbytes)
         #: absolute SLO deadline of the invocation (open-loop runs only);
         #: the ack at flush time compares against it, so a transaction that
         #: commits in memory before its deadline but flushes after counts
         #: as a late commit — an SLO miss, never a lost transaction
         self.deadline = deadline
-        #: txn ids whose versions this commit read (cluster runs only);
-        #: a partial crash chases these edges to keep the lost set
-        #: dependency-closed.  Excluded from ``nbytes`` — real WALs do not
+        #: txn ids whose versions this commit read (cluster runs that keep
+        #: recovery state only); a partial crash chases these edges to
+        #: keep the lost set dependency-closed.  Excluded from ``nbytes`` — real WALs do not
         #: ship read sets, this is oracle bookkeeping
         self.reads = reads
 

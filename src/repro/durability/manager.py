@@ -37,7 +37,11 @@ for what has no one-shard meaning and reaches in through a few hooks.
   built only when the fault injector's install finds that the run's plan
   :attr:`~repro.faults.plan.FaultPlan.scripts_crash`; otherwise every
   checkpoint is still counted (``checkpoints_taken``) but never copied,
-  and the view stays ``None``.  The WAL is the same either way.
+  and the view stays ``None``.  The log's images and read sets are
+  recovery-only state too: without the view each record keeps its
+  identity fields and the byte size its images would have had, and no
+  image is copied.  Seqnos, epochs, sizes, flushes, acks and the charged
+  ``log_write`` are the same either way.
 * **node crash** — the scripted ``node_crash`` fault calls
   :meth:`node_crash`: every worker is torn down (in-flight attempts abort
   through their normal cleanup, pre-charged sleep time is refunded),
@@ -71,7 +75,8 @@ from ..obs.tracing import EventKind, TraceEvent
 from ..sim.scheduler import RunLayer
 from ..sim.worker import spawn_workers
 from ..storage.database import Database, Snapshot
-from .log import LogRecord, WriteImage, apply_record, lost_txns
+from .log import (RECORD_HEADER_BYTES, LogRecord, WriteImage, apply_record,
+                  image_nbytes, lost_txns)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .view import DurableView
@@ -287,35 +292,44 @@ class DurabilityManager(RunLayer):
         """Append one committed transaction to the log buffer.  Called
         from ``validation.finish`` at install time, so append order (the
         assigned seqno) is exactly the commit-lock install order.  The
-        cluster layer overrides this — splitting the images by owning
+        cluster layer overrides this — splitting the writes by owning
         shard and collecting the read set is cluster-only work — but
         appends and charges through the same :meth:`_append_records`."""
-        writes = [
-            WriteImage(entry.table, entry.key, entry.value,
-                       entry.installed_vid)
+        entries = [
+            entry
             for entry in sorted(ctx.wset.values(), key=lambda e: e.order)
             if entry.installed_vid is not None
         ]
-        self._append_records(ctx, [(0, LogRecord, writes, {})])
+        self._append_records(ctx, [(0, LogRecord, entries, {})])
 
     def _append_records(self, ctx: "TxnContext", parts, reads=()) -> None:
         """The one place a commit reaches the log.  ``parts`` lists the
-        records to write as (shard, record class, write images, extra
-        fields); each takes the next seqno in the open epoch, and the
-        committing worker is charged ``log_write`` per record header and
-        per image, once for the whole commit."""
+        records to write as (shard, record class, installed write-set
+        entries, extra fields); each takes the next seqno in the open
+        epoch, and the committing worker is charged ``log_write`` per
+        record header and per image, once for the whole commit.  Each
+        record is sized from its entries; only a run that keeps recovery
+        state (:attr:`durable_view`) also copies them into
+        :class:`WriteImage` s, which nothing but recovery reads."""
         worker = ctx.worker
         worker_id = worker.worker_id if worker is not None else -1
         deadline = worker.deadline if worker is not None else None
         now = self.scheduler.now
+        keep_images = self.durable_view is not None
         n_images = 0
-        for shard, record_cls, writes, fields in parts:
+        for shard, record_cls, entries, fields in parts:
             self.seqno += 1
+            writes = [WriteImage(entry.table, entry.key, entry.value,
+                                 entry.installed_vid)
+                      for entry in entries] if keep_images else ()
+            nbytes = RECORD_HEADER_BYTES + sum(
+                image_nbytes(entry.table, entry.key, entry.value)
+                for entry in entries)
             self._shard_buffers[shard].append(record_cls(
                 self.seqno, self.current_epoch, ctx.txn_id, worker_id,
                 ctx.type_name, ctx.priority[0], now, writes,
-                deadline=deadline, reads=reads, **fields))
-            n_images += len(writes)
+                deadline=deadline, reads=reads, nbytes=nbytes, **fields))
+            n_images += len(entries)
         self._pending_cost[worker_id] = (
             self._pending_cost.get(worker_id, 0.0)
             + self.dc.log_write * (len(parts) + n_images))

@@ -130,8 +130,13 @@ class Database:
         return sorted(self._tables)
 
     def load(self, table_name: str, key: tuple, value: dict) -> Record:
-        """Install an initial committed row (pre-run population)."""
-        return self.table(table_name).load(key, value, self.allocator)
+        """Install an initial committed row (pre-run population) and
+        return its record.  Bulk loaders call their tables'
+        :meth:`Table.load` instead, which leaves the row raw until a
+        transaction touches it."""
+        table = self.table(table_name)
+        table.load(key, value, self.allocator)
+        return table.get_record(key)
 
     def committed_value(self, table_name: str, key: tuple) -> Optional[dict]:
         """Convenience accessor used by tests and invariant checks."""
@@ -157,20 +162,14 @@ class Database:
         replaces a record's value wholesale (never mutates it in place),
         but a *nested* mutable field value (a list or dict inside a row)
         would stay shared under a one-level copy and let later in-place
-        mutations rewrite history inside the snapshot.
+        mutations rewrite history inside the snapshot.  Rows no
+        transaction has touched are read raw, through
+        :meth:`Table.committed_rows`, so a snapshot builds no record.
         """
-        tables: Snapshot = {}
-        for name in sorted(self._tables):
-            table = self._tables[name]
-            records = table._records
-            rows: Dict[tuple, tuple] = {}
-            for key in table.sorted_keys():
-                record = records[key]
-                if record.value is None:
-                    continue
-                rows[key] = (record.version_id, detach_row(record.value))
-            tables[name] = rows
-        return tables
+        return {name: {key: (vid, detach_row(value))
+                       for key, vid, value
+                       in self._tables[name].committed_rows()}
+                for name in sorted(self._tables)}
 
     @classmethod
     def from_snapshot(cls, snapshot: Snapshot,

@@ -16,6 +16,10 @@ from ...storage.record import VersionIdAllocator
 from . import schema
 from .schema import TPCCScale
 
+#: the 1 000 customer last names, built once: customers with the same
+#: ``c_last`` share one string object
+LAST_NAMES = tuple(map(last_name_syllables, range(1000)))
+
 #: initial balances in cents (TPC-C clause 4.3.3)
 INITIAL_W_YTD = 30_000_000          # $300,000.00
 INITIAL_D_YTD = 3_000_000           # $30,000.00
@@ -89,7 +93,7 @@ def _load_district(loads: dict, alloc: VersionIdAllocator, scale: TPCCScale,
     load_customer = loads[schema.CUSTOMER]
     for c_id in range(1, n_customers + 1):
         load_customer((w_id, d_id, c_id), {
-            "c_last": last_name_syllables((c_id - 1) % 1000),
+            "c_last": LAST_NAMES[(c_id - 1) % 1000],
             "c_credit": "BC" if random_() < 0.1 else "GC",
             "c_discount": randbelow(5001),
             "c_balance": INITIAL_C_BALANCE,

@@ -110,15 +110,15 @@ class TPCCWorkload(Workload):
                 district = self.db.committed_value(schema.DISTRICT, (w_id, d_id))
                 next_o_id = district["d_next_o_id"]
                 max_order = 0
-                for key, _record in order_table.scan_committed(
-                        (w_id, d_id, 0), (w_id, d_id + 1, 0)):
+                for key in order_table.keys((w_id, d_id, 0),
+                                            (w_id, d_id + 1, 0)):
                     max_order = max(max_order, key[2])
                 if max_order != next_o_id - 1:
                     problems.append(
                         f"district ({w_id},{d_id}): max o_id={max_order}, "
                         f"d_next_o_id={next_o_id}")
-                for key, _record in new_order_table.scan_committed(
-                        (w_id, d_id, 0), (w_id, d_id + 1, 0)):
+                for key in new_order_table.keys((w_id, d_id, 0),
+                                                (w_id, d_id + 1, 0)):
                     if key not in order_table:
                         problems.append(
                             f"NEW_ORDER {key} has no matching ORDER row")
@@ -134,13 +134,11 @@ class TPCCWorkload(Workload):
         line_table = self.db.table(schema.ORDER_LINE)
         n_lines: dict = {}
         undated_orders = set()
-        for record in line_table.records():
-            value = record.value
-            if value is not None:
-                order_key = _ORDER_OF_LINE(record.key)
-                n_lines[order_key] = n_lines.get(order_key, 0) + 1
-                if value["ol_delivery_d"] is None:
-                    undated_orders.add(order_key)
+        for line_key, value in line_table.items():
+            order_key = _ORDER_OF_LINE(line_key)
+            n_lines[order_key] = n_lines.get(order_key, 0) + 1
+            if value["ol_delivery_d"] is None:
+                undated_orders.add(order_key)
         order_table = self.db.table(schema.ORDER)
         for key in order_table.keys():
             order = order_table.committed_value(key)
@@ -152,10 +150,11 @@ class TPCCWorkload(Workload):
                 continue
             if key in undated_orders and order["o_carrier_id"] is not None:
                 w_id, d_id, o_id = key
-                lines = line_table.scan_committed((w_id, d_id, o_id, 0),
-                                                  (w_id, d_id, o_id + 1, 0))
-                undated = [line for line, record in lines
-                           if record.value["ol_delivery_d"] is None]
+                lines = line_table.keys((w_id, d_id, o_id, 0),
+                                        (w_id, d_id, o_id + 1, 0))
+                value_of = line_table.committed_value
+                undated = [line for line in lines
+                           if value_of(line)["ol_delivery_d"] is None]
                 problems.append(
                     f"delivered order {key} has undated lines {undated}")
         return problems

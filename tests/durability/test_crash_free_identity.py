@@ -1,12 +1,13 @@
 """A crash-free durable run keeps no recovery-only state, and that is
 unobservable.
 
-The t=0 image, the checkpoint copies, the durable view and the
-durable-vid set are read only by a scripted ``node_crash`` /
-``shard_crash``.  So the same seeded durable run, once with no fault plan
-and once with an *inert* crash-capable plan — a ``node_crash`` scripted
-after the horizon, which never fires — must produce byte-equal summaries,
-traces and metrics, while only the second ever copies the database."""
+The t=0 image, the checkpoint copies, the durable view, the durable-vid
+set and the log's write images and read sets are read only by a scripted
+``node_crash`` / ``shard_crash``.  So the same seeded durable run, once
+with no fault plan and once with an *inert* crash-capable plan — a
+``node_crash`` scripted after the horizon, which never fires — must
+produce byte-equal summaries, traces, metrics and log records (identity
+and size), while only the second ever copies the database or a write."""
 
 import io
 import os
@@ -37,22 +38,25 @@ def silo_single():
     return lambda: CounterWorkload(n_keys=8), "silo", config, {}
 
 
+def wh_policies(fixture):
+    return {
+        "policy": CCPolicy.load(tpcc_spec(), os.path.join(
+            FIXTURES, f"policy_tpcc_{fixture}_quick.json")),
+        "backoff_policy": BackoffPolicy.load(os.path.join(
+            FIXTURES, f"backoff_tpcc_{fixture}_quick.json")),
+    }
+
+
 def polyjuice_wh1():
     """The wh1 learned-policy fixture, with periodic checkpoints."""
     config = SimConfig(n_workers=8, duration=4_000.0, warmup=0.0, seed=5,
                        durability=DurabilityConfig(
                            checkpoint_interval=1_000.0))
-    policies = {
-        "policy": CCPolicy.load(
-            tpcc_spec(), os.path.join(FIXTURES, "policy_tpcc_wh1_quick.json")),
-        "backoff_policy": BackoffPolicy.load(
-            os.path.join(FIXTURES, "backoff_tpcc_wh1_quick.json")),
-    }
     return make_tpcc_factory(n_warehouses=1, seed=5), "polyjuice", config, \
-        policies
+        wh_policies("wh1")
 
 
-def cluster2_2pc():
+def cluster2_2pc(cc_name="silo"):
     """Two shards, half the transactions cross-shard (2PC)."""
     scale = TPCCScale(n_warehouses=2, districts_per_warehouse=4,
                       customers_per_district=40, n_items=80,
@@ -64,11 +68,13 @@ def cluster2_2pc():
                                              cross_shard_ratio=0.5))
     factory = make_cluster_tpcc_factory(2, 4, cross_shard_ratio=0.5,
                                         n_warehouses=2, seed=31, scale=scale)
-    return factory, "silo", config, {}
+    policies = wh_policies("wh8") if cc_name == "polyjuice" else {}
+    return factory, cc_name, config, policies
 
 
 SHAPES = {"silo_single": silo_single, "polyjuice_wh1": polyjuice_wh1,
-          "cluster2_2pc": cluster2_2pc}
+          "cluster2_2pc": cluster2_2pc,
+          "cluster2_2pc_polyjuice": lambda: cluster2_2pc("polyjuice")}
 
 
 def count_snapshots(monkeypatch) -> dict:
@@ -103,6 +109,17 @@ def run_shape(shape, plan):
                     metrics.to_json())
 
 
+def log_facts(manager):
+    """What a crash-free run's log must share with a crash-capable one:
+    each durable record's kind, identity and size, per shard and merged,
+    and the byte total."""
+    def facts(records):
+        return [(type(r).__name__, r.digest(), r.nbytes) for r in records]
+    return (facts(manager.durable_log),
+            [facts(log) for log in manager.shard_logs],
+            manager.log_records_total, manager.log_bytes_total)
+
+
 @pytest.mark.parametrize("name", list(SHAPES))
 def test_recovery_state_is_unobservable_in_a_crash_free_run(name,
                                                             monkeypatch):
@@ -127,6 +144,16 @@ def test_recovery_state_is_unobservable_in_a_crash_free_run(name,
     assert armed.fault_counts == {} and armed.durability.crash_count == 0
     if config.cluster is not None:
         assert plain.durability.decision_messages > 0, "no 2PC commit ran"
+
+    # the same log records, sizes and bytes; only the crash-capable run
+    # keeps the write images and read sets a crash would replay or chase
+    assert log_facts(plain.durability) == log_facts(armed.durability)
+    assert not any(r.writes or r.reads
+                   for r in plain.durability.durable_log)
+    armed_log = armed.durability.durable_log
+    assert any(r.writes for r in armed_log)
+    if config.cluster is not None:
+        assert any(r.reads for r in armed_log)
 
     # only the crash-capable run copies the database: once before the
     # first event (the t=0 image), then once per periodic checkpoint
